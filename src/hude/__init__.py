@@ -21,7 +21,7 @@ from .distributions import (
     load_dataset,
     save_dataset,
 )
-from .elimination import CandidateSet, EliminationResult, eliminate
+from .elimination import EliminationResult, eliminate
 from .instances import (
     GapssInstance,
     GenerationError,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .distributions import Dataset, OpCounter, QueryMultiset, random_fixed_size_supports
-from .elimination import CandidateSet, eliminate
+from .elimination import eliminate
 from .rng import stream_key, substream
 from .subset_index import IndexParams, preprocess, query
 
@@ -121,9 +121,9 @@ def run_elimination(
     correct = 0
     total_ops = 0
     total_ns = 0
+    candidates = np.arange(data.k)
     for truth, sample in queries:
         counter = OpCounter()
-        candidates = CandidateSet.full(data.k)
         start = time.perf_counter_ns()
         result = eliminate(data, candidates, sample, counter)
         total_ns += time.perf_counter_ns() - start

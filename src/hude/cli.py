@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .bench import AdaptiveSearchError, ExperimentConfig, run_sweep, write_results_csv
 from .distributions import OpCounter
-from .elimination import CandidateSet, eliminate
+from .elimination import eliminate
 from .instances import (
     GapssInstance,
     gen_gapss,
@@ -158,7 +158,7 @@ def _cmd_query(args) -> int:
     if args.algorithm == "elimination":
         start = time.perf_counter_ns()
         result = eliminate(
-            instance.dataset, CandidateSet.full(instance.dataset.k), instance.query, counter
+            instance.dataset, np.arange(instance.dataset.k), instance.query, counter
         )
         elapsed = time.perf_counter_ns() - start
         payload = {

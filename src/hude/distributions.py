@@ -73,11 +73,6 @@ class SupportSet:
             raise ValueError(f"element {element} outside domain [0, {self.n})")
         return bool(self.bits[element])
 
-    def issubset(self, other: "SupportSet") -> bool:
-        if self.n != other.n:
-            raise ValueError("domain sizes differ")
-        return bool(np.all(other.bits[self.indices]))
-
     def intersection_size(self, other: "SupportSet") -> int:
         if self.n != other.n:
             raise ValueError("domain sizes differ")
@@ -116,12 +111,6 @@ class HalfUniformDistribution:
         self.support = support
         self.n = support.n
 
-    def mass(self, element: int) -> float:
-        card = self.support.cardinality
-        if card == 0:
-            raise ValueError("distribution with empty support has no mass function")
-        return 1.0 / card if self.support.has(element) else 0.0
-
     def sample(self, m: int, rng: np.random.Generator) -> "QueryMultiset":
         """Draw m i.i.d. elements, uniform on the support, in recorded order."""
         if m < 0:
@@ -130,7 +119,7 @@ class HalfUniformDistribution:
         if idx.size == 0:
             raise ValueError("cannot sample from an empty support")
         draws = idx[rng.integers(0, idx.size, size=int(m))]
-        return QueryMultiset.from_draws(self.n, draws)
+        return QueryMultiset(self.n, draws)
 
     def __repr__(self) -> str:
         return f"HalfUniformDistribution(n={self.n}, support={self.support.cardinality})"
@@ -158,10 +147,6 @@ class QueryMultiset:
             counts[element] = counts.get(element, 0) + 1
         self.counts = counts
         self.distinct = SupportSet.from_indices(n, counts.keys())
-
-    @classmethod
-    def from_draws(cls, n: int, draws: np.ndarray) -> "QueryMultiset":
-        return cls(n, draws)
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "QueryMultiset":
@@ -197,23 +182,34 @@ def l1_distance(p: HalfUniformDistribution, q: HalfUniformDistribution) -> float
     return abs(1.0 / a - 1.0 / b) * c + (a - c) / a + (b - c) / b
 
 
+# Rows per block when packing or drawing supports: a multiple of 8, so blocks
+# start on byte boundaries, and fixed, so the draw sequence is platform-independent.
+_ROW_BLOCK = 4096
+
+
 class Dataset:
     """Ordered collection of k supports over a shared domain [0, n).
 
-    Stored as a read-only (k, n) boolean matrix so that the index and the
-    elimination baseline can gather membership columns in bulk.
+    Stored column-major and bit-packed: ``columns`` is a read-only
+    (n, ceil(k/8)) uint8 array whose row e is the bitmap of the supports
+    that contain element e (support j is bit 7 - j % 8 of byte j // 8, the
+    ``np.packbits`` order; padding bits are zero).  A probe's bucket is the
+    AND of its elements' bitmaps and elimination ANDs one bitmap per sample.
     """
 
-    __slots__ = ("matrix", "k", "n", "_supports")
+    __slots__ = ("columns", "k", "n")
 
     def __init__(self, matrix: np.ndarray):
-        matrix = np.ascontiguousarray(matrix, dtype=bool)
+        matrix = np.asarray(matrix, dtype=bool)
         if matrix.ndim != 2:
             raise ValueError("dataset matrix must be (k, n)")
-        matrix.flags.writeable = False
-        self.matrix = matrix
         self.k, self.n = (int(d) for d in matrix.shape)
-        self._supports: dict[int, SupportSet] = {}
+        columns = np.empty((self.n, -(-self.k // 8)), dtype=np.uint8)
+        for start in range(0, self.k, _ROW_BLOCK):
+            packed = np.packbits(matrix[start : start + _ROW_BLOCK], axis=0)
+            columns[:, start // 8 : start // 8 + packed.shape[0]] = packed.T
+        columns.flags.writeable = False
+        self.columns = columns
 
     @classmethod
     def from_supports(cls, n: int, supports: Iterable[Iterable[int]]) -> "Dataset":
@@ -222,10 +218,21 @@ class Dataset:
             raise ValueError("dataset needs at least one support")
         return cls(np.vstack(rows))
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """Read-only (k, n) boolean matrix, unpacked on every access."""
+        matrix = np.unpackbits(self.columns, axis=1, count=self.k).view(bool).T
+        matrix.flags.writeable = False
+        return matrix
+
+    def row(self, j: int) -> np.ndarray:
+        """Support j as an (n,) boolean vector."""
+        if not 0 <= j < self.k:
+            raise IndexError(f"support {j} outside [0, {self.k})")
+        return (self.columns[:, j >> 3] & (0x80 >> (j & 7))) != 0
+
     def support(self, j: int) -> SupportSet:
-        if j not in self._supports:
-            self._supports[j] = SupportSet(self.matrix[j])
-        return self._supports[j]
+        return SupportSet(self.row(j))
 
     def distribution(self, j: int) -> HalfUniformDistribution:
         return HalfUniformDistribution(self.support(j))
@@ -239,7 +246,7 @@ class Dataset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return bool(np.array_equal(self.matrix, other.matrix))
+        return self.k == other.k and bool(np.array_equal(self.columns, other.columns))
 
     def __repr__(self) -> str:
         return f"Dataset(k={self.k}, n={self.n})"
@@ -249,19 +256,27 @@ class Dataset:
 # Random support matrices (building blocks for the instance generators)
 # ---------------------------------------------------------------------------
 
-_ROW_BLOCK = 4096  # fixed block size keeps the draw sequence platform-independent
-
 
 def random_fixed_size_supports(k: int, n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """(k, n) boolean matrix whose rows are uniform random m-subsets of [0, n)."""
+    """(k, n) boolean matrix whose rows are uniform random m-subsets of [0, n).
+
+    Row i keeps the elements of its m smallest uniform draws: those at or
+    below the row's m-th smallest draw.  A row tied at that threshold would
+    keep more than m, so it takes ``np.argpartition``'s m instead; without a
+    tie the two choices are the same set.
+    """
     if not 0 < m <= n:
         raise ValueError("support size must be in [1, n]")
-    out = np.zeros((k, n), dtype=bool)
+    out = np.empty((k, n), dtype=bool)
     for start in range(0, k, _ROW_BLOCK):
         stop = min(start + _ROW_BLOCK, k)
         u = rng.random((stop - start, n))
-        chosen = np.argpartition(u, m - 1, axis=1)[:, :m]
-        out[np.arange(start, stop)[:, None], chosen] = True
+        block = out[start:stop]
+        np.less_equal(u, np.partition(u, m - 1, axis=1)[:, m - 1 : m], out=block)
+        tied = np.flatnonzero(np.count_nonzero(block, axis=1) != m)
+        if tied.size:
+            block[tied] = False
+            block[tied[:, None], np.argpartition(u[tied], m - 1, axis=1)[:, :m]] = True
     return out
 
 
@@ -293,6 +308,12 @@ def dumps_dataset(dataset: Dataset, metadata: dict | None = None) -> str:
 
 
 def loads_dataset(text: str) -> tuple[Dataset, dict]:
+    """Parse :func:`dumps_dataset` output.
+
+    A malformed metadata or header line, a wrong number of support lines,
+    and a support line holding a non-integer, negative, out-of-range or
+    repeated element each raise ``ValueError`` naming the 1-based line.
+    """
     metadata: dict = {}
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -301,20 +322,43 @@ def loads_dataset(text: str) -> tuple[Dataset, dict]:
     while pos < len(lines) and lines[pos].startswith("#"):
         payload = lines[pos][1:].strip()
         if payload:
-            metadata.update(json.loads(payload))
+            try:
+                entry = json.loads(payload)
+            except ValueError:
+                entry = None
+            if not isinstance(entry, dict):
+                raise ValueError(f"line {pos + 1}: metadata is not a JSON object")
+            metadata.update(entry)
         pos += 1
     if pos >= len(lines):
         raise ValueError("dataset text has no header line")
-    n_str, k_str = lines[pos].split()
-    n, k = int(n_str), int(k_str)
+    header = lines[pos].split()
+    try:
+        n, k = (int(field) for field in header)
+    except ValueError:
+        n = k = -1
+    if min(n, k) < 0:
+        raise ValueError(f"line {pos + 1}: malformed header {lines[pos]!r}; expected 'n k'")
     pos += 1
     if len(lines) - pos != k:
         raise ValueError(f"expected {k} support lines, found {len(lines) - pos}")
     matrix = np.zeros((k, n), dtype=bool)
     for j in range(k):
-        row = lines[pos + j].split()
-        if row:
-            matrix[j, np.asarray(row, dtype=np.int64)] = True
+        where = f"line {pos + j + 1}: support {j}"
+        try:
+            row = np.asarray(lines[pos + j].split(), dtype=np.int64)
+        except (ValueError, OverflowError):
+            raise ValueError(f"{where} is not a list of integers") from None
+        if row.size == 0:
+            continue
+        bad = row[(row < 0) | (row >= n)]
+        if bad.size:
+            raise ValueError(f"{where} has element {bad[0]} outside the domain [0, {n})")
+        matrix[j, row] = True
+        if np.count_nonzero(matrix[j]) != row.size:
+            ordered = np.sort(row)
+            repeated = ordered[1:][ordered[1:] == ordered[:-1]][0]
+            raise ValueError(f"{where} repeats element {repeated}")
     return Dataset(matrix), metadata
 
 

@@ -14,22 +14,6 @@ import numpy as np
 from .distributions import Dataset, OpCounter, QueryMultiset
 
 
-@dataclass
-class CandidateSet:
-    """Duplicate-free list of candidate distribution indices."""
-
-    alive: list[int]
-    origin: str = "full-dataset"  # or "bucket"
-
-    def __post_init__(self) -> None:
-        if len(set(self.alive)) != len(self.alive):
-            raise ValueError("candidate list contains duplicates")
-
-    @classmethod
-    def full(cls, k: int) -> "CandidateSet":
-        return cls(list(range(k)), origin="full-dataset")
-
-
 @dataclass(frozen=True)
 class EliminationResult:
     outcome: str  # "found" | "ambiguous" | "exhausted"
@@ -39,22 +23,36 @@ class EliminationResult:
 
 def eliminate(
     data: Dataset,
-    candidates: CandidateSet,
+    candidates: np.ndarray,
     query: QueryMultiset,
     counter: OpCounter,
 ) -> EliminationResult:
-    """Run the elimination pass; all membership tests are charged to counter."""
-    alive = np.asarray(candidates.alive, dtype=np.int64)
-    if alive.size == 0:
+    """Run the elimination pass over distinct dataset indices ``candidates``.
+
+    The alive set is a packed bitmap over the dataset; each sample ANDs in
+    its element's column and is charged one op per candidate alive before it.
+    """
+    candidates = np.asarray(candidates, dtype=np.int64)
+    if candidates.size == 0:
         raise ValueError("candidate set must be nonempty")
-    if alive.size == 1:
-        return EliminationResult("found", int(alive[0]))
-    matrix = data.matrix
+    if candidates.min() < 0 or candidates.max() >= data.k:
+        raise ValueError(f"candidate outside the dataset [0, {data.k})")
+    bits = np.zeros(data.columns.shape[1] * 8, dtype=bool)
+    bits[candidates] = True
+    if np.count_nonzero(bits) != candidates.size:
+        raise ValueError("candidate list contains duplicates")
+    if candidates.size == 1:
+        return EliminationResult("found", int(candidates[0]))
+    alive = np.packbits(bits)
+    alive_count = candidates.size
+    columns = data.columns
     for element in query.order.tolist():
-        counter.add(alive.size)
-        alive = alive[matrix[alive, element]]
-        if alive.size == 1:
-            return EliminationResult("found", int(alive[0]))
-        if alive.size == 0:
+        counter.add(alive_count)
+        alive &= columns[element]
+        alive_count = int(np.bitwise_count(alive).sum())
+        if alive_count == 1:
+            return EliminationResult("found", int(np.flatnonzero(np.unpackbits(alive))[0]))
+        if alive_count == 0:
             return EliminationResult("exhausted")
-    return EliminationResult("ambiguous", None, tuple(int(j) for j in alive))
+    survivors = np.flatnonzero(np.unpackbits(alive))
+    return EliminationResult("ambiguous", None, tuple(survivors.tolist()))

@@ -291,7 +291,7 @@ def reduce_gapss_to_urde(
     draws = np.repeat(q_elements, copies)
     if draws.size:
         draws = draws[substream(seed, "reduction-order").permutation(draws.size)]
-    query = QueryMultiset.from_draws(g.n, draws)
+    query = QueryMultiset(g.n, draws)
     return UrdeInstance(g.dataset, g.w_u, float(s), g.truth_index, query, seed)
 
 
@@ -379,7 +379,7 @@ def load_instance(outdir):
             sidecar["seed"],
         )
     if "query_stream" in sidecar:
-        query = QueryMultiset.from_draws(n, np.asarray(sidecar["query_stream"], dtype=np.int64))
+        query = QueryMultiset(n, np.asarray(sidecar["query_stream"], dtype=np.int64))
     else:
         query = QueryMultiset.from_pairs(n, sidecar["query"])
     if problem == "hude":

@@ -1,11 +1,12 @@
 """Probe-subset index: random ell-subsets mapped to the supports containing them.
 
 Preprocessing samples L probe sets of ell distinct elements and stores, for
-each probe, the bucket of all dataset indices whose support contains it.  A
-query scans probes in order until one is contained in the observed sample
-set, then resolves the matching bucket, either by certifying candidates with
-random sample elements ("uj-certify") or by running elimination restricted
-to the bucket ("bucket-eliminate", the practical default).
+each probe, the bucket of all dataset indices whose support contains it, as
+a packed bitmap.  A query scans probes in order until one is contained in
+the observed sample set, then unpacks and resolves the matching bucket,
+either by certifying candidates with random sample elements ("uj-certify")
+or by running elimination restricted to the bucket ("bucket-eliminate", the
+practical default).
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Dataset, OpCounter, QueryMultiset
-from .elimination import CandidateSet, eliminate
+from .elimination import eliminate
 from .rng import keyed_uniform, mix64, stream_key
 
 VARIANT_BUCKET_ELIMINATE = "bucket-eliminate"
@@ -75,36 +76,43 @@ def sample_probes(seed: int, count: int, size: int, n: int) -> np.ndarray:
     return selected
 
 
-class SubsetIndex:
-    """Preprocessing output: probe sets with their candidate buckets."""
+# Probes whose masks are built per step; bounds the gathered temporary to
+# _PROBE_BLOCK * ceil(k/8) bytes.
+_PROBE_BLOCK = 1024
 
-    __slots__ = ("probes", "buckets", "params", "dataset", "seed", "_probe_map")
+
+class SubsetIndex:
+    """Preprocessing output: probe sets with their buckets as packed bitmaps.
+
+    ``masks[i]`` is the packed bitmap, over dataset indices in the
+    ``Dataset.columns`` bit order, of the supports that contain probe i.
+    """
+
+    __slots__ = ("probes", "masks", "params", "dataset", "seed")
 
     def __init__(
         self,
         probes: np.ndarray,
-        buckets: list[np.ndarray],
+        masks: np.ndarray,
         params: IndexParams,
         dataset: Dataset,
         seed: int,
     ):
         self.probes = probes
-        self.buckets = buckets
+        self.masks = masks
         self.params = params
         self.dataset = dataset
         self.seed = seed
-        self._probe_map: dict[tuple[int, ...], np.ndarray] | None = None
+
+    def bucket(self, i: int) -> np.ndarray:
+        """Sorted int32 indices of the supports that contain probe i."""
+        bits = np.unpackbits(self.masks[i], count=self.dataset.k)
+        return np.flatnonzero(bits).astype(np.int32)
 
     @property
-    def probe_map(self) -> dict[tuple[int, ...], np.ndarray]:
-        """Dictionary view: sorted probe tuple -> bucket (practical-variant lookup)."""
-        if self._probe_map is None:
-            mapping: dict[tuple[int, ...], np.ndarray] = {}
-            for i in range(self.probes.shape[0]):
-                key = tuple(sorted(self.probes[i].tolist()))
-                mapping.setdefault(key, self.buckets[i])
-            self._probe_map = mapping
-        return self._probe_map
+    def buckets(self) -> list[np.ndarray]:
+        """Every bucket, unpacked on each access; queries unpack only what they resolve."""
+        return [self.bucket(i) for i in range(self.masks.shape[0])]
 
     def __repr__(self) -> str:
         return (
@@ -114,23 +122,24 @@ class SubsetIndex:
 
 
 def preprocess(data: Dataset, params: IndexParams, seed: int) -> SubsetIndex:
-    """Sample probes and materialize their buckets over the dataset."""
+    """Sample probes; each bucket mask is the AND of its probe's packed columns."""
     if params.probe_size > data.n:
         raise ValueError("probe size cannot exceed the domain size")
     probes = sample_probes(seed, params.num_probes, params.probe_size, data.n)
-    matrix = data.matrix
-    buckets: list[np.ndarray] = []
-    everyone = np.arange(data.k, dtype=np.int32)
-    for i in range(params.num_probes):
-        row = probes[i]
-        if row.size == 0:
-            buckets.append(everyone)
-            continue
-        mask = matrix[:, row[0]].copy()
-        for e in row[1:]:
-            mask &= matrix[:, e]
-        buckets.append(np.flatnonzero(mask).astype(np.int32))
-    return SubsetIndex(probes, buckets, params, data, seed)
+    if params.probe_size == 0:
+        everyone = np.packbits(np.ones(data.k, dtype=bool))
+        masks = np.tile(everyone, (params.num_probes, 1))
+    else:
+        columns = data.columns
+        masks = np.empty((params.num_probes, columns.shape[1]), dtype=np.uint8)
+        for start in range(0, params.num_probes, _PROBE_BLOCK):
+            block = probes[start : start + _PROBE_BLOCK]
+            rows = masks[start : start + block.shape[0]]
+            np.take(columns, block[:, 0], axis=0, out=rows)
+            for elements in block[:, 1:].T:
+                rows &= columns[elements]
+    masks.flags.writeable = False
+    return SubsetIndex(probes, masks, params, data, seed)
 
 
 def _probe_scan_plan(index: SubsetIndex, query: QueryMultiset) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +173,7 @@ def _certify_candidate(
     """Sample distinct query elements one at a time until a miss or cap accepts."""
     take = min(cap, pool.size)
     order = rng.permutation(pool)[:take]
-    inside = data.matrix[j, order]
+    inside = data.row(j)[order]
     misses = np.flatnonzero(~inside)
     if misses.size:
         counter.add(int(misses[0]) + 1)
@@ -201,13 +210,11 @@ def query(
         if cumulative.size:
             counter.add(int(cumulative[i]) - charged)
             charged = int(cumulative[i])
-        bucket = index.buckets[i]
+        bucket = index.bucket(i)
         if bucket.size == 0:
             continue
         if variant == VARIANT_BUCKET_ELIMINATE:
-            result = eliminate(
-                data, CandidateSet(bucket.tolist(), origin="bucket"), q, counter
-            )
+            result = eliminate(data, bucket, q, counter)
             if result.outcome == "found":
                 return QueryResult("found", result.index)
         else:
@@ -280,6 +287,6 @@ def dump_index(index: SubsetIndex) -> str:
     ]
     for i in range(index.probes.shape[0]):
         probe = " ".join(str(e) for e in index.probes[i].tolist())
-        bucket = " ".join(str(j) for j in index.buckets[i].tolist())
+        bucket = " ".join(str(j) for j in index.bucket(i).tolist())
         lines.append(f"probe: {probe} | bucket: {bucket}")
     return "\n".join(lines) + "\n"

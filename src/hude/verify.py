@@ -96,7 +96,7 @@ def _check_reduction_relation() -> str | None:
 
 def _check_gapss_subset() -> str | None:
     g = instances.gen_gapss(512, 4, 0.5, 0.05, seed=21)
-    truth_bits = g.dataset.matrix[g.truth_index]
+    truth_bits = g.dataset.row(g.truth_index)
     if np.any(g.query.bits & ~truth_bits):
         return "query vector is not a subset of the truth vector"
     return None
@@ -118,7 +118,7 @@ def _check_bucket_soundness() -> str | None:
     index = subset_index.preprocess(inst.dataset, subset_index.IndexParams(50, 3), seed=42)
     for i in range(50):
         probe = index.probes[i]
-        in_bucket = set(index.buckets[i].tolist())
+        in_bucket = set(index.bucket(i).tolist())
         for j in range(inst.dataset.k):
             holds = all(inst.dataset.support(j).has(int(e)) for e in probe)
             if holds != (j in in_bucket):
@@ -132,7 +132,7 @@ def _check_truth_containment() -> str | None:
     qbits = inst.query.distinct.bits
     for i in range(300):
         if np.all(qbits[index.probes[i]]):
-            if inst.truth_index not in index.buckets[i]:
+            if inst.truth_index not in index.bucket(i):
                 return f"probe {i} contained in the query but truth missing from bucket"
     return None
 
@@ -142,14 +142,13 @@ def _check_elimination_monotone() -> str | None:
     counter = distributions.OpCounter()
     sizes = []
     alive = np.arange(inst.dataset.k)
+    matrix = inst.dataset.matrix
     for element in inst.query.order.tolist():
-        alive = alive[inst.dataset.matrix[alive, element]]
+        alive = alive[matrix[alive, element]]
         sizes.append(alive.size)
     if any(b > a for a, b in zip(sizes, sizes[1:])):
         return "alive-set size increased"
-    result = elimination.eliminate(
-        inst.dataset, elimination.CandidateSet.full(inst.dataset.k), inst.query, counter
-    )
+    result = elimination.eliminate(inst.dataset, np.arange(inst.dataset.k), inst.query, counter)
     if result.outcome == "found" and result.index != inst.truth_index:
         return "eliminated down to a wrong candidate"
     if result.outcome == "exhausted":

@@ -5,7 +5,12 @@ same algorithms with explicit single-bit membership calls; the library's
 vectorized counters must agree with it exactly.
 """
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hude.bench import (
     AdaptiveSearchError,
@@ -17,8 +22,9 @@ from hude.bench import (
     run_sweep,
     write_results_csv,
 )
-from hude.distributions import OpCounter, contains
-from hude.elimination import CandidateSet, eliminate
+from hude.distributions import Dataset, OpCounter, QueryMultiset, contains
+from hude.elimination import eliminate
+from hude.rng import substream
 from hude.subset_index import IndexParams, preprocess, query
 
 
@@ -40,9 +46,19 @@ def _reference_eliminate(data, candidates, sample, counter):
     return "ambiguous", None
 
 
-def _reference_subset_query(index, sample, counter):
-    """Literal probe scan plus bucket elimination, one membership at a time."""
+def _reference_certify(data, j, pool, cap, counter, rng):
+    """Literal certificate: up to ``cap`` shuffled distinct elements, stop at a miss."""
+    for element in rng.permutation(pool)[: min(cap, pool.size)].tolist():
+        if not contains(data.support(j), element, counter):
+            return False
+    return True
+
+
+def _reference_subset_query(index, sample, counter, epsilon=1.0, rng=None,
+                            variant="bucket-eliminate"):
+    """Literal probe scan plus bucket resolution, one membership at a time."""
     distinct = sample.distinct
+    cap = max(1, math.ceil(index.params.c_query * math.log(index.dataset.n) / epsilon))
     for i in range(index.probes.shape[0]):
         contained = True
         for element in index.probes[i].tolist():
@@ -51,8 +67,13 @@ def _reference_subset_query(index, sample, counter):
                 break
         if not contained:
             continue
+        if variant == "uj-certify":
+            for j in index.bucket(i).tolist():
+                if _reference_certify(index.dataset, j, distinct.indices, cap, counter, rng):
+                    return "found", j
+            continue
         outcome, found = _reference_eliminate(
-            index.dataset, index.buckets[i].tolist(), sample, counter
+            index.dataset, index.bucket(i).tolist(), sample, counter
         )
         if outcome == "found":
             return "found", found
@@ -64,7 +85,7 @@ class TestReferenceOpCounts:
         data, queries = generate_point(30, 12, 20, seed=5, point_id=0, num_queries=6)
         for truth, sample in queries:
             theirs = OpCounter()
-            result = eliminate(data, CandidateSet.full(data.k), sample, theirs)
+            result = eliminate(data, np.arange(data.k), sample, theirs)
             ours = OpCounter()
             outcome, found = _reference_eliminate(data, range(data.k), sample, ours)
             assert (result.outcome, result.index) == (outcome, found if outcome == "found" else result.index)
@@ -81,6 +102,51 @@ class TestReferenceOpCounts:
             assert result.outcome == outcome
             assert result.index == found
             assert theirs.membership_ops == ours.membership_ops
+
+
+    @given(
+        k=st.integers(1, 24),
+        n=st.integers(1, 16),
+        S=st.integers(1, 24),
+        ell=st.integers(0, 3),
+        L=st.integers(1, 24),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=3, n=5, S=4, ell=2, L=6, seed=0)
+    @example(k=13, n=9, S=6, ell=1, L=10, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_random_instances_match_reference(self, k, n, S, ell, L, seed):
+        # k < 8 and k % 8 != 0 leave padding bits in every packed bitmap.
+        rng = np.random.default_rng(seed)
+        matrix = rng.random((k, n)) < rng.uniform(0.2, 0.9)
+        truth = int(rng.integers(k))
+        matrix[truth, rng.integers(n)] = True
+        data = Dataset(matrix)
+        index = preprocess(data, IndexParams(L, min(ell, n)), seed=seed)
+        for i in range(L):
+            expected = np.flatnonzero(matrix[:, index.probes[i]].all(axis=1))
+            assert np.array_equal(index.bucket(i), expected)
+        samples = [
+            data.distribution(truth).sample(S, rng),
+            QueryMultiset(n, rng.integers(0, n, size=S)),
+        ]
+        candidate_sets = [np.arange(k)] + [b for b in index.buckets if b.size]
+        for sample in samples:
+            for candidates in candidate_sets:
+                theirs, ours = OpCounter(), OpCounter()
+                result = eliminate(data, candidates, sample, theirs)
+                expected = _reference_eliminate(data, candidates.tolist(), sample, ours)
+                assert (result.outcome, result.index) == expected
+                assert theirs.membership_ops == ours.membership_ops
+            for variant in ("bucket-eliminate", "uj-certify"):
+                theirs, ours = OpCounter(), OpCounter()
+                result = query(index, sample, 1.0, theirs, rng=substream(seed, "certify"),
+                               variant=variant)
+                expected = _reference_subset_query(
+                    index, sample, ours, 1.0, substream(seed, "certify"), variant
+                )
+                assert (result.outcome, result.index) == expected
+                assert theirs.membership_ops == ours.membership_ops
 
 
 class TestAdaptiveSearch:

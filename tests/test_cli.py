@@ -1,6 +1,9 @@
 """CLI surface: subcommand plumbing, file outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -95,6 +98,24 @@ class TestQuery:
         rc = main(["query", "--instance", str(tmp_path / "nope"),
                    "--algorithm", "elimination"])
         assert rc == 1
+
+    def test_corrupt_dataset_is_a_clean_error(self, tmp_path, src_path):
+        out = tmp_path / "inst"
+        main(_gen_args(out))
+        dataset = out / "dataset.txt"
+        lines = dataset.read_text().split("\n")
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        lines[header + 2] = "-1 " + lines[header + 2]
+        dataset.write_text("\n".join(lines))
+        done = subprocess.run(
+            [sys.executable, "-m", "hude.cli", "query", "--instance", str(out),
+             "--algorithm", "elimination"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src_path)),
+        )
+        assert done.returncode == 1
+        assert f"line {header + 3}: support 1 has element -1 outside" in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestBench:

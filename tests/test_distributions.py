@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hude.distributions import (
+    _ROW_BLOCK,
     Dataset,
     HalfUniformDistribution,
     OpCounter,
@@ -25,6 +26,26 @@ from hude.rng import substream
 
 def _dist(n, indices):
     return HalfUniformDistribution(SupportSet.from_indices(n, indices))
+
+
+def _argpartition_supports(k, n, m, rng):
+    """Fixed-size rows drawn by argpartition of each row's uniforms, then a scatter."""
+    out = np.zeros((k, n), dtype=bool)
+    for start in range(0, k, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, k)
+        chosen = np.argpartition(rng.random((stop - start, n)), m - 1, axis=1)[:, :m]
+        out[np.arange(start, stop)[:, None], chosen] = True
+    return out
+
+
+class _QuarterRng:
+    """Uniforms rounded down to quarters, so most rows tie at their m-th smallest draw."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def random(self, size):
+        return np.floor(self._rng.random(size) * 4) / 4
 
 
 class TestContains:
@@ -181,7 +202,7 @@ class TestQueryMultiset:
     def test_counts_match_distinct_and_total(self, data):
         n = data.draw(st.integers(1, 30))
         draws = data.draw(st.lists(st.integers(0, n - 1), max_size=60))
-        q = QueryMultiset.from_draws(n, np.asarray(draws, dtype=np.int64))
+        q = QueryMultiset(n, np.asarray(draws, dtype=np.int64))
         assert q.total == len(draws)
         assert sum(q.counts.values()) == q.total
         assert set(q.counts) == set(draws)
@@ -189,14 +210,14 @@ class TestQueryMultiset:
         assert q.distinct.cardinality <= max(q.total, 0) or q.total == 0
 
     def test_pairs_round_trip_preserves_counts(self):
-        q = QueryMultiset.from_draws(10, np.asarray([3, 1, 3, 7, 1, 3]))
+        q = QueryMultiset(10, np.asarray([3, 1, 3, 7, 1, 3]))
         back = QueryMultiset.from_pairs(10, q.pairs())
         assert back.counts == q.counts
         assert back.total == q.total
 
     def test_out_of_domain_sample_rejected(self):
         with pytest.raises(ValueError):
-            QueryMultiset.from_draws(4, np.asarray([0, 4]))
+            QueryMultiset(4, np.asarray([0, 4]))
 
     def test_nonpositive_multiplicity_rejected(self):
         with pytest.raises(ValueError):
@@ -228,6 +249,38 @@ class TestDatasetSerialization:
         with pytest.raises(ValueError):
             loads_dataset("4 2\n0 1\n")  # promises two supports, provides one
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("6 2\n0 -1\n3\n", "line 2: support 0 has element -1 outside the domain"),
+            ("6 2\n0 1\n3 6\n", "line 3: support 1 has element 6 outside the domain"),
+            ("6 2\n0 1 1\n3\n", "line 2: support 0 repeats element 1"),
+            ("6 2\n0 4\n3 x\n", "line 3: support 1 is not a list of integers"),
+            ("6 1\n99999999999999999999\n", "line 2: support 0 is not a list of integers"),
+            ("6\n0\n", "line 1: malformed header"),
+            ("6 2 1\n0\n1\n", "line 1: malformed header"),
+            ("# {}\n6 two\n0\n1\n", "line 2: malformed header"),
+            ("-6 1\n0\n", "line 1: malformed header"),
+            ("# [1]\n6 1\n0\n", "line 1: metadata is not a JSON object"),
+            ("# {oops\n6 1\n0\n", "line 1: metadata is not a JSON object"),
+        ],
+    )
+    def test_corrupt_input_names_the_line(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            loads_dataset(text)
+
+    @pytest.mark.parametrize("k", [1, 7, 8, 13, _ROW_BLOCK + 5])
+    def test_packed_columns_round_trip(self, k):
+        matrix = random_bernoulli_supports(k, 9, 0.5, substream(k, "pack"))
+        ds = Dataset(matrix)
+        assert ds.columns.shape == (9, -(-k // 8))
+        assert np.array_equal(ds.matrix, matrix)
+        assert all(np.array_equal(ds.row(j), matrix[j]) for j in (0, k // 2, k - 1))
+        padding = np.unpackbits(ds.columns, axis=1)[:, k:]
+        assert not padding.any()
+        with pytest.raises(IndexError):
+            ds.row(k)
+
     def test_matrix_is_read_only(self):
         ds = Dataset.from_supports(4, [[0], [1]])
         with pytest.raises(ValueError):
@@ -239,6 +292,23 @@ class TestRandomSupports:
         matrix = random_fixed_size_supports(50, 30, 7, substream(2, "fs"))
         assert matrix.shape == (50, 30)
         assert (matrix.sum(axis=1) == 7).all()
+
+    @pytest.mark.parametrize(
+        "k, n, m, seed",
+        [(1, 1, 1, 0), (50, 30, 7, 1), (9, 8, 8, 2), (7, 500, 250, 3), (5000, 40, 20, 4)],
+    )
+    def test_threshold_selection_matches_argpartition(self, k, n, m, seed):
+        ours = random_fixed_size_supports(k, n, m, substream(seed, "eq"))
+        assert np.array_equal(ours, _argpartition_supports(k, n, m, substream(seed, "eq")))
+
+    def test_tied_rows_fall_back_to_argpartition(self):
+        k, n, m = 40, 12, 5
+        u = _QuarterRng(4).random((k, n))
+        at_or_below = u <= np.partition(u, m - 1, axis=1)[:, m - 1 : m]
+        assert (at_or_below.sum(axis=1) != m).any()  # the fallback path is taken
+        ours = random_fixed_size_supports(k, n, m, _QuarterRng(4))
+        assert np.array_equal(ours, _argpartition_supports(k, n, m, _QuarterRng(4)))
+        assert (ours.sum(axis=1) == m).all()
 
     def test_bernoulli_mean(self):
         matrix = random_bernoulli_supports(200, 100, 0.3, substream(2, "bern"))

@@ -7,19 +7,19 @@ from hypothesis import strategies as st
 
 from hude.bench import generate_point
 from hude.distributions import Dataset, OpCounter, QueryMultiset
-from hude.elimination import CandidateSet, eliminate
+from hude.elimination import eliminate
 from hude.instances import gen_hude
 
 
 def _query(n, draws):
-    return QueryMultiset.from_draws(n, np.asarray(draws, dtype=np.int64))
+    return QueryMultiset(n, np.asarray(draws, dtype=np.int64))
 
 
 class TestSmallCases:
     def test_single_candidate_found_with_zero_ops(self):
         data = Dataset.from_supports(4, [[0, 1], [2, 3]])
         ctr = OpCounter()
-        result = eliminate(data, CandidateSet([1]), _query(4, [2, 3]), ctr)
+        result = eliminate(data, np.asarray([1]), _query(4, [2, 3]), ctr)
         assert result.outcome == "found"
         assert result.index == 1
         assert ctr.membership_ops == 0
@@ -27,37 +27,38 @@ class TestSmallCases:
     def test_disjoint_pair_resolved_by_first_sample(self):
         data = Dataset.from_supports(8, [[0, 1, 2, 3], [4, 5, 6, 7]])
         ctr = OpCounter()
-        result = eliminate(data, CandidateSet.full(2), _query(8, [1, 0, 2]), ctr)
+        result = eliminate(data, np.arange(2), _query(8, [1, 0, 2]), ctr)
         assert result.outcome == "found"
         assert result.index == 0
         assert ctr.membership_ops == 2
 
     def test_exhausted_when_no_support_matches(self):
         data = Dataset.from_supports(4, [[0], [1]])
-        result = eliminate(data, CandidateSet.full(2), _query(4, [2]), OpCounter())
+        result = eliminate(data, np.arange(2), _query(4, [2]), OpCounter())
         assert result.outcome == "exhausted"
 
     def test_ambiguous_returns_survivors(self):
         data = Dataset.from_supports(4, [[0, 1], [0, 1], [2, 3]])
-        result = eliminate(data, CandidateSet.full(3), _query(4, [0, 1]), OpCounter())
+        result = eliminate(data, np.arange(3), _query(4, [0, 1]), OpCounter())
         assert result.outcome == "ambiguous"
         assert result.survivors == (0, 1)
 
     def test_empty_candidates_rejected(self):
         data = Dataset.from_supports(4, [[0]])
         with pytest.raises(ValueError):
-            eliminate(data, CandidateSet([]), _query(4, [0]), OpCounter())
+            eliminate(data, np.asarray([], dtype=np.int64), _query(4, [0]), OpCounter())
 
     def test_duplicate_candidates_rejected(self):
+        data = Dataset.from_supports(4, [[0], [1]])
         with pytest.raises(ValueError):
-            CandidateSet([1, 1])
+            eliminate(data, np.asarray([1, 1]), _query(4, [0]), OpCounter())
 
     def test_ops_follow_alive_sizes(self):
         # Hand trace: sample 0 keeps all three (3 ops), sample 1 drops the
         # middle support (3 ops), sample 2 drops the last rival (2 ops).
         data = Dataset.from_supports(6, [[0, 1, 2], [0, 3, 4], [0, 1, 5]])
         ctr = OpCounter()
-        result = eliminate(data, CandidateSet.full(3), _query(6, [0, 1, 2]), ctr)
+        result = eliminate(data, np.arange(3), _query(6, [0, 1, 2]), ctr)
         assert result.outcome == "found"
         assert result.index == 0
         assert ctr.membership_ops == 3 + 3 + 2
@@ -68,9 +69,7 @@ class TestInvariants:
     @settings(max_examples=25, deadline=None)
     def test_truth_never_eliminated(self, seed):
         inst = gen_hude(60, 20, 0.5, 4.0, seed=seed)
-        result = eliminate(
-            inst.dataset, CandidateSet.full(inst.dataset.k), inst.query, OpCounter()
-        )
+        result = eliminate(inst.dataset, np.arange(inst.dataset.k), inst.query, OpCounter())
         assert result.outcome != "exhausted"
         if result.outcome == "found":
             assert result.index == inst.truth_index
@@ -94,7 +93,7 @@ class TestInvariants:
         ops = []
         for truth, sample in queries:
             ctr = OpCounter()
-            result = eliminate(data, CandidateSet.full(k), sample, ctr)
+            result = eliminate(data, np.arange(k), sample, ctr)
             assert result.outcome == "found" and result.index == truth
             ops.append(ctr.membership_ops)
         mean_ops = float(np.mean(ops))

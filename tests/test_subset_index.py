@@ -27,8 +27,16 @@ from hude.subset_index import (
 )
 
 
+def _masks(k, buckets):
+    """Packed bucket masks (``SubsetIndex.masks``) from lists of dataset indices."""
+    bits = np.zeros((len(buckets), k), dtype=bool)
+    for row, bucket in zip(bits, buckets):
+        row[bucket] = True
+    return np.packbits(bits, axis=1)
+
+
 def _query_from(n, draws):
-    return QueryMultiset.from_draws(n, np.asarray(draws, dtype=np.int64))
+    return QueryMultiset(n, np.asarray(draws, dtype=np.int64))
 
 
 class TestSampleProbes:
@@ -102,22 +110,15 @@ class TestPreprocess:
         assert np.array_equal(a.probes, b.probes)
         assert all(np.array_equal(x, y) for x, y in zip(a.buckets, b.buckets))
 
-    def test_probe_map_lookup(self):
-        data = Dataset.from_supports(6, [[0, 1, 2], [1, 2, 3]])
-        index = preprocess(data, IndexParams(10, 2), seed=4)
-        for i in range(10):
-            key = tuple(sorted(index.probes[i].tolist()))
-            assert key in index.probe_map
-
 
 class TestQuery:
     def _toy_index(self, variant="uj-certify"):
         # One probe {0, 1}, bucket containing only the true distribution.
         data = Dataset.from_supports(8, [[0, 1, 2, 3], [4, 5, 6, 7]])
         probes = np.asarray([[0, 1]], dtype=np.int64)
-        buckets = [np.asarray([0], dtype=np.int32)]
+        masks = _masks(2, [[0]])
         params = IndexParams(1, 2, c_query=4.0, variant=variant)
-        return SubsetIndex(probes, buckets, params, data, seed=0)
+        return SubsetIndex(probes, masks, params, data, seed=0)
 
     def test_single_candidate_cost_is_probe_plus_certificate(self):
         index = self._toy_index()
@@ -158,9 +159,9 @@ class TestQuery:
         # + probe 1 (1 op) + single-candidate bucket (0 ops) = 6 ops.
         data = Dataset.from_supports(6, [[0, 1, 2], [0, 3, 4], [0, 4, 5]])
         probes = np.asarray([[0], [1]], dtype=np.int64)
-        buckets = [np.asarray([1, 2], dtype=np.int32), np.asarray([0], dtype=np.int32)]
+        masks = _masks(3, [[1, 2], [0]])
         params = IndexParams(2, 1, variant="bucket-eliminate")
-        index = SubsetIndex(probes, buckets, params, data, seed=0)
+        index = SubsetIndex(probes, masks, params, data, seed=0)
         ctr = OpCounter()
         result = query(index, _query_from(6, [0, 1]), 1.0, ctr)
         assert result.outcome == "found" and result.index == 0
