@@ -208,6 +208,86 @@ class TestQueryExponentBound:
         assert 0.0 <= bound.rho_q <= 1.0
 
 
+class TestPinnedCurve:
+    """numeric-lop values recorded before the solver's search was reworked.
+
+    A change to how the infimum and the alpha maximum are searched must not
+    move the curve by more than 1e-8.
+    """
+
+    def test_benchmark_grid(self):
+        recorded = [
+            0.6175995772093339,
+            0.7859301502557483,
+            0.8648933195616396,
+            0.9058975679377584,
+            0.9294686566208912,
+        ]
+        for s, expected in zip(np.geomspace(20.0, 10_000.0, 5), recorded):
+            got = query_exponent_lower_bound(reduction_w_q(float(s)), 0.5, 0.5).rho_q
+            assert got == pytest.approx(expected, abs=1e-8), f"s={s}"
+
+    def test_reduced_options_at_s50(self):
+        recorded = {
+            0.0: 0.9714346189565164,
+            0.25: 0.8189667248531264,
+            0.5: 0.7324508918493748,
+            1.0: 0.5950571273169263,
+        }
+        w_q = reduction_w_q(50.0)
+        opts = SearchOptions(tu_points=201, tq_points=121)
+        for rho_u, expected in recorded.items():
+            got = query_exponent_lower_bound(w_q, 0.5, rho_u, opts=opts, alpha_points=41)
+            assert got.rho_q == pytest.approx(expected, abs=1e-8), f"rho_u={rho_u}"
+
+
+def _dense_outer_scan(w_q, w_u, alpha, points=20_001):
+    """Brute-force min over a dense t_u grid of min over t_q of the objective.
+
+    The inner minimum is found by a vectorized bisection on the t_q-derivative
+    of the numerator (increasing on (0, t_u)), or at t_q = 0 when that
+    derivative is nonnegative throughout; values come from the definitional
+    coding.  Stays 0.01 away from t_u = w_u.
+    """
+    u = np.linspace(0.0, 1.0, points)[1:-1]
+    u = u[np.abs(u - w_u) >= 0.01]
+
+    def h(t):
+        return (
+            np.log(t / w_q)
+            - np.log((u - t) / (w_u - w_q))
+            - alpha * np.log(t * (1.0 - w_q) / (w_q * (1.0 - t)))
+        )
+
+    lo = np.log(u) - 60.0
+    hi = np.log(u) + np.log1p(-1e-13)
+    at_zero = h(np.exp(lo)) >= 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = h(np.exp(mid)) < 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    t_q = np.where(at_zero, 0.0, np.exp(0.5 * (lo + hi)))
+    return float(np.min(objective_from_divergences(t_q, u, w_q, w_u, alpha)))
+
+
+class TestInfimumOracle:
+    @pytest.mark.parametrize(
+        "w_q, alpha",
+        [
+            (reduction_w_q(20.0), 0.722491),
+            (1e-3, 1.0 + 1.0 / math.log(1e-3)),
+            (0.2, 0.3),
+            # At alpha = 1 the inner minimum sits on the t_q = 0 edge for
+            # every t_u up to (w_u - w_q)/(1 - w_q).
+            (0.05, 1.0),
+        ],
+    )
+    def test_not_above_dense_scan(self, w_q, alpha):
+        got = minimize_objective(w_q, 0.5, alpha).value
+        assert got <= _dense_outer_scan(w_q, 0.5, alpha) + 1e-10
+
+
 class TestClosedFormCurves:
     def test_explicit_bound_value(self):
         # 1 - 0.01^{1-log2} + 0.5/(1+log 0.01), coded independently.
