@@ -359,13 +359,57 @@ def save_instance(instance, outdir) -> None:
         fh.write(json.dumps(sidecar, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+_SIDECAR_KEYS = {
+    "hude": ("epsilon", "s", "query"),
+    "urde": ("w_u", "s", "query"),
+    "gapss": ("w_u", "w_q", "query"),
+}
+
+
 def load_instance(outdir):
-    """Rebuild the instance saved by :func:`save_instance`."""
+    """Rebuild the instance saved by :func:`save_instance`.
+
+    Raises ValueError naming the sidecar key that is missing or malformed,
+    or the sidecar field that disagrees with the dataset header.
+    """
     from .distributions import load_dataset
 
     dataset, _ = load_dataset(os.path.join(outdir, DATASET_FILENAME))
-    with open(os.path.join(outdir, SIDECAR_FILENAME), "r", encoding="utf-8") as fh:
+    path = os.path.join(outdir, SIDECAR_FILENAME)
+    with open(path, "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
+    if not isinstance(sidecar, dict):
+        raise ValueError(f"{path}: sidecar is not a JSON object")
+    if "problem" not in sidecar:
+        raise ValueError(f"{path}: sidecar lacks key 'problem'")
+    problem = sidecar["problem"]
+    if not isinstance(problem, str) or problem not in _SIDECAR_KEYS:
+        raise ValueError(f"{path}: unknown problem type in sidecar: {problem!r}")
+    needed = ["n", "k", "seed", "truth_index", *_SIDECAR_KEYS[problem]]
+    if problem != "gapss" and "query_stream" in sidecar:
+        needed.remove("query")
+    missing = [key for key in needed if key not in sidecar]
+    if missing:
+        raise ValueError(f"{path}: sidecar lacks key(s) {', '.join(map(repr, missing))}")
+    for key, actual in (("n", dataset.n), ("k", dataset.k)):
+        if sidecar[key] != actual:
+            raise ValueError(
+                f"{path}: sidecar has {key} = {sidecar[key]!r} but the dataset header "
+                f"has {key} = {actual}"
+            )
+    for key in ("seed", "epsilon", "s", "w_u", "w_q"):
+        if key in needed and type(sidecar[key]) not in (int, float):
+            raise ValueError(f"{path}: sidecar {key} {sidecar[key]!r} is not a number")
+    truth = sidecar["truth_index"]
+    if type(truth) is not int or not 0 <= truth < dataset.k:
+        raise ValueError(f"{path}: truth_index {truth!r} is not an index in [0, {dataset.k})")
+    try:
+        return _instance_from_sidecar(dataset, sidecar)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{path}: malformed query: {err}") from None
+
+
+def _instance_from_sidecar(dataset, sidecar):
     problem = sidecar["problem"]
     n = sidecar["n"]
     if problem == "gapss":
@@ -392,14 +436,12 @@ def load_instance(outdir):
             sidecar["seed"],
             sidecar.get("attempts", 1),
         )
-    if problem == "urde":
-        return UrdeInstance(
-            dataset,
-            sidecar["w_u"],
-            sidecar["s"],
-            sidecar["truth_index"],
-            query,
-            sidecar["seed"],
-            sidecar.get("truth_resamples", 0),
-        )
-    raise ValueError(f"unknown problem type in sidecar: {problem!r}")
+    return UrdeInstance(
+        dataset,
+        sidecar["w_u"],
+        sidecar["s"],
+        sidecar["truth_index"],
+        query,
+        sidecar["seed"],
+        sidecar.get("truth_resamples", 0),
+    )

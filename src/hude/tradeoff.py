@@ -2,7 +2,7 @@
 
 KL divergences over the forced two-by-two coupling, the constrained ratio
 objective whose infimum lower-bounds any list-of-points data structure, a
-grid-plus-refinement minimizer for that objective, the closed-form lower and
+grid-plus-polish minimizer for that objective, the closed-form lower and
 upper curves, and CSV emission of all of them on a common sample-ratio axis.
 
 Conventions: natural logarithms throughout, 0*log(0) = 0, and +inf sentinels
@@ -12,7 +12,7 @@ min/max arithmetic without exceptions).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,15 +172,19 @@ _EDGE_MARGIN = 1e-9  # grids stay this far inside the t_q < t_u edge
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Grid densities and tolerances for the objective minimization."""
+    """Coarse-grid densities and band widths for the objective minimization."""
 
     tu_points: int = 401
     tq_points: int = 241
     exclude_band: float = 1e-4  # primary exclusion half-width around t_u == w_u
     inner_band: float = 1e-6  # secondary pass resolves down to this distance
-    refine_rounds: int = 70
-    tu_tol: float = 1e-7
-    tq_rel_tol: float = 1e-8
+
+    def __post_init__(self):
+        if self.tu_points < 2 or self.tq_points < 2:
+            raise ValueError(
+                f"grid sizes must be at least 2 (got tu_points={self.tu_points}, "
+                f"tq_points={self.tq_points})"
+            )
 
 
 @dataclass(frozen=True)
@@ -249,12 +253,23 @@ def _terms_on_axes(tq_axis: np.ndarray, tu_axis: np.ndarray, w_q: float, w_u: fl
     return g_q, g_u
 
 
-def _min_on_axes(tq_axis, tu_axis, w_q, w_u, alpha):
-    g_q, g_u = _terms_on_axes(np.asarray(tq_axis), np.asarray(tu_axis), w_q, w_u)
-    values = alpha * g_q + (1.0 - alpha) * g_u
-    flat = int(np.argmin(values))
-    iu, iq = np.unravel_index(flat, values.shape)
-    return float(values[iu, iq]), float(tq_axis[iq]), float(tu_axis[iu]), (iu, iq)
+def _grid_minimizer(tq_axis: np.ndarray, tu_axis: np.ndarray, w_q: float, w_u: float):
+    """alpha -> (value, t_q, t_u) of the objective's minimum on the product grid.
+
+    The alpha-independent terms are computed once; each call writes
+    F = g_u + alpha * (g_q - g_u) into one reused buffer.
+    """
+    g_q, g_u = _terms_on_axes(tq_axis, tu_axis, w_q, w_u)
+    slope = np.subtract(g_q, g_u, out=g_q)
+    values = np.empty_like(g_u)
+
+    def grid_min(alpha: float) -> tuple[float, float, float]:
+        np.multiply(slope, alpha, out=values)
+        np.add(values, g_u, out=values)
+        iu, iq = np.unravel_index(int(np.argmin(values)), values.shape)
+        return float(values[iu, iq]), float(tq_axis[iq]), float(tu_axis[iu])
+
+    return grid_min
 
 
 def _objective_scalar(t_q: float, t_u: float, w_q: float, w_u: float, alpha: float) -> float:
@@ -281,15 +296,19 @@ def _objective_scalar(t_q: float, t_u: float, w_q: float, w_u: float, alpha: flo
     return (alpha * gap_q + (1.0 - alpha) * gap_u) / d_u
 
 
-def _golden_min(fun, lo: float, hi: float, iters: int = 80):
-    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
+def _golden_min(fun, lo: float, hi: float, iters: int = 80, xtol: float = 0.0):
+    """Golden-section minimum of a unimodal scalar function on [lo, hi].
+
+    One new evaluation per step; stops once the bracket is narrower than
+    xtol or than 1e-14 relative.
+    """
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - phi * (b - a)
     x2 = a + phi * (b - a)
     f1, f2 = fun(x1), fun(x2)
     for _ in range(iters):
-        if b - a <= 1e-14 * max(abs(a), abs(b), 1e-12):
+        if b - a <= max(xtol, 1e-14 * max(abs(a), abs(b), 1e-12)):
             break
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
@@ -309,8 +328,11 @@ def _inner_tq(t_u: float, w_q: float, w_u: float, alpha: float) -> float:
         h(t_q) = log(t_q/w_q) - log((t_u-t_q)/(w_u-w_q))
                  - alpha log(t_q(1-w_q)/(w_q(1-t_q))),
     is strictly increasing on (0, t_u) for alpha in [0, 1], so the inner
-    minimum is either its unique root (bisection in log space) or the t_q = 0
-    boundary when h is nonnegative throughout (possible only at alpha = 1).
+    minimum is either its unique root or the t_q = 0 boundary when h is
+    nonnegative throughout (possible only at alpha = 1).  The root is found
+    by Newton steps in x = log t_q, where dh/dx = 1 + t_q/(t_u-t_q) -
+    alpha/(1-t_q) > 0, falling back to bisection whenever a step leaves the
+    sign bracket.
     """
     if t_u <= 0.0:
         return 0.0
@@ -328,15 +350,21 @@ def _inner_tq(t_u: float, w_q: float, w_u: float, alpha: float) -> float:
         return 0.0
     if h(math.exp(hi)) <= 0.0:
         return math.exp(hi)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if h(math.exp(mid)) < 0.0:
-            lo = mid
+    x = 0.5 * (lo + hi)
+    for _ in range(100):
+        t_q = math.exp(x)
+        value = h(t_q)
+        step = value / (1.0 + t_q / (t_u - t_q) - alpha / (1.0 - t_q))
+        if abs(step) <= 1e-15 * max(1.0, abs(x)):
+            return math.exp(x - step)
+        if value < 0.0:
+            lo = x
         else:
-            hi = mid
+            hi = x
+        x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
         if hi - lo <= 1e-15:
             break
-    return math.exp(0.5 * (lo + hi))
+    return math.exp(x)
 
 
 def _polish(
@@ -351,8 +379,10 @@ def _polish(
 ):
     """Polish the grid minimizer: exact inner t_q solve, golden outer t_u search.
 
-    Stays on the side of the excluded band that the grid phase selected;
-    windows around t_u expand when the outer minimum pins to a window edge.
+    Solves the 1-D problem min_u F(_inner_tq(u), u).  Stays on the side of
+    the excluded band that the grid phase selected; the window around t_u
+    doubles while the outer minimum pins to one of its edges (within a
+    millionth of its width) that is not also a bound of that side.
     """
     lo_u, hi_u = tu_bounds
     side_lo, side_hi = (lo_u, w_u - band) if t_u < w_u else (w_u + band, hi_u)
@@ -372,63 +402,14 @@ def _polish(
         x, fx = _golden_min(outer, lo, hi)
         if fx < value:
             value, best_u = fx, x
-        interior = lo + 1e-13 < x < hi - 1e-13
-        if interior or (lo == side_lo and hi == side_hi):
+        tol = 1e-6 * (hi - lo)
+        if not ((x - lo <= tol and lo > side_lo) or (hi - x <= tol and hi < side_hi)):
             break
         width *= 2.0
     cand_q = _inner_tq(best_u, w_q, w_u, alpha)
     if _objective_scalar(cand_q, best_u, w_q, w_u, alpha) <= value:
         t_q, t_u = cand_q, best_u
     return value, t_q, t_u
-
-
-def _refine(
-    w_q: float,
-    w_u: float,
-    alpha: float,
-    value: float,
-    t_q: float,
-    t_u: float,
-    opts: SearchOptions,
-    band: float,
-    tu_window: float,
-    tu_bounds: tuple[float, float] = (0.0, 1.0),
-):
-    """Nested local grids around the current best point, then a polish pass.
-
-    The t_u window is linear; the t_q window is multiplicative so that tiny
-    interior minimizers (t_q of the order of w_q or below) are localized to
-    relative, not absolute, precision.  Windows recenter and expand when the
-    minimum lands on a window edge, and shrink otherwise.
-    """
-    tq_mult = 8.0
-    lo, hi = tu_bounds
-    for _ in range(opts.refine_rounds):
-        tu_axis = np.clip(np.linspace(t_u - tu_window, t_u + tu_window, 17), lo, hi)
-        tu_axis = np.unique(tu_axis)
-        tu_axis = tu_axis[np.abs(tu_axis - w_u) >= band]
-        if tu_axis.size == 0:
-            break
-        if t_q > 0.0:
-            factors = np.geomspace(1.0 / (1.0 + tq_mult), 1.0 + tq_mult, 17)
-            tq_axis = np.unique(np.clip(t_q * factors, 0.0, 1.0))
-            if t_q * factors[0] <= 1e-11:
-                tq_axis = np.concatenate([[0.0], tq_axis])
-        else:
-            tq_axis = np.concatenate([[0.0], np.geomspace(1e-15, 1e-2, 14)])
-        cand_value, cand_tq, cand_tu, (iu, iq) = _min_on_axes(tq_axis, tu_axis, w_q, w_u, alpha)
-        moved_to_edge = iu in (0, tu_axis.size - 1) or iq in (0, tq_axis.size - 1)
-        if cand_value < value:
-            value, t_q, t_u = cand_value, cand_tq, cand_tu
-        if moved_to_edge:
-            tu_window = min(tu_window * 1.8, 0.5)
-            tq_mult = min(tq_mult * 1.8, 64.0)
-        else:
-            tu_window *= 0.35
-            tq_mult *= 0.45
-        if tu_window < opts.tu_tol and (t_q == 0.0 or tq_mult < opts.tq_rel_tol):
-            break
-    return _polish(w_q, w_u, alpha, value, t_q, t_u, band, tu_bounds)
 
 
 def minimize_objective(
@@ -440,9 +421,10 @@ def minimize_objective(
     """Global minimum of the objective over {0 <= t_q <= t_u <= 1, t_u != w_u}.
 
     Coarse product grid (log-spaced in t_q, dense near t_q ~ w_q and near the
-    excluded band in t_u), nested local refinement, then a secondary pass
-    that sweeps the annulus inner_band <= |t_u - w_u| <= exclude_band to
-    confirm the infimum is not hiding next to the removed line.
+    excluded band in t_u), then the exact 1-D polish from the grid argmin,
+    then a secondary pass that does the same over the annulus
+    inner_band <= |t_u - w_u| <= exclude_band to confirm the infimum is not
+    hiding next to the removed line.
     """
     if not 0.0 < w_q < w_u < 1.0:
         raise ValueError("parameters must satisfy 0 < w_q < w_u < 1")
@@ -450,30 +432,24 @@ def minimize_objective(
         raise ValueError("alpha must lie in [0, 1]")
     opts = opts or SearchOptions()
 
-    tu_axis = _tu_axis(w_q, w_u, opts)
     tq_axis = _tq_axis(w_q, w_u, opts)
-    value, t_q, t_u, _ = _min_on_axes(tq_axis, tu_axis, w_q, w_u, alpha)
-    spacing = 2.0 / max(opts.tu_points - 1, 1)
-    value, t_q, t_u = _refine(
-        w_q, w_u, alpha, value, t_q, t_u, opts, opts.exclude_band, spacing
+    grid_min = _grid_minimizer(tq_axis, _tu_axis(w_q, w_u, opts), w_q, w_u)
+    value, t_q, t_u = _polish(
+        w_q, w_u, alpha, *grid_min(alpha), opts.exclude_band, (0.0, 1.0)
     )
 
     # Secondary pass: resolve the excluded band down to inner_band.
     steps = np.geomspace(opts.inner_band, opts.exclude_band, 33)
     band_axis = np.unique(np.concatenate([w_u - steps, w_u + steps]))
     band_axis = band_axis[(band_axis > 0.0) & (band_axis < 1.0)]
-    b_value, b_tq, b_tu, _ = _min_on_axes(tq_axis, band_axis, w_q, w_u, alpha)
-    b_value, b_tq, b_tu = _refine(
+    band_min = _grid_minimizer(tq_axis, band_axis, w_q, w_u)
+    b_value, b_tq, b_tu = _polish(
         w_q,
         w_u,
         alpha,
-        b_value,
-        b_tq,
-        b_tu,
-        opts,
+        *band_min(alpha),
         opts.inner_band,
-        opts.exclude_band,
-        tu_bounds=(w_u - opts.exclude_band, w_u + opts.exclude_band),
+        (w_u - opts.exclude_band, w_u + opts.exclude_band),
     )
     near_band = False
     if b_value < value:
@@ -506,90 +482,50 @@ def query_exponent_lower_bound(
     """Best achievable bound rho_q >= max_alpha (inf F(alpha) - (1-alpha) rho_u)/alpha.
 
     The alpha grid always contains 1 + 1/log(w_q) (the theoretically
-    motivated weight) when it lies in (0, 1); a golden-section pass refines
-    around the grid maximizer.  The result is clamped to [0, 1].
+    motivated weight) when it lies in (0, 1).  The bound is evaluated on the
+    coarse (t_q, t_u) grid at every grid alpha; the infimum is solved exactly
+    only at the coarse maximizer and its two neighbours on each side, and a
+    golden-section pass refines the bracket around the best of those.  The
+    result is clamped to [0, 1].
     """
     if rho_u < 0:
         raise ValueError("space exponent must be nonnegative")
     if not 0.0 < w_q < w_u < 1.0:
         raise ValueError("parameters must satisfy 0 < w_q < w_u < 1")
+    if alpha_points < 2:
+        raise ValueError(f"alpha_points must be at least 2 (got {alpha_points})")
     opts = opts or SearchOptions()
-
-    tu_axis = _tu_axis(w_q, w_u, opts)
-    tq_axis = _tq_axis(w_q, w_u, opts)
-    g_q, g_u = _terms_on_axes(tq_axis, tu_axis, w_q, w_u)
-    spacing = 2.0 / max(opts.tu_points - 1, 1)
-
-    def infimum_at(alpha: float) -> InfimumResult:
-        values = alpha * g_q + (1.0 - alpha) * g_u
-        flat = int(np.argmin(values))
-        iu, iq = np.unravel_index(flat, values.shape)
-        value, t_q, t_u = _refine(
-            w_q,
-            w_u,
-            alpha,
-            float(values[iu, iq]),
-            float(tq_axis[iq]),
-            float(tu_axis[iu]),
-            opts,
-            opts.exclude_band,
-            spacing,
-        )
-        return InfimumResult(value, t_q, t_u, t_q == 0.0, False)
-
-    def bound_at(alpha: float) -> tuple[float, InfimumResult]:
-        inf_res = infimum_at(alpha)
-        return (inf_res.value - (1.0 - alpha) * rho_u) / alpha, inf_res
 
     alphas = np.linspace(0.01, 1.0, alpha_points)
     alpha_theory = 1.0 + 1.0 / math.log(w_q)
     if 0.0 < alpha_theory < 1.0:
         alphas = np.unique(np.concatenate([alphas, [alpha_theory]]))
-
-    best_alpha = None
-    best_value = -math.inf
-    best_inf = None
-    for alpha in alphas.tolist():
-        value, inf_res = bound_at(alpha)
-        if value > best_value:
-            best_value, best_alpha, best_inf = value, alpha, inf_res
-
-    # Golden-section refinement around the grid maximizer.
     order = alphas.tolist()
-    pos = order.index(best_alpha)
-    lo = order[max(pos - 1, 0)]
-    hi = order[min(pos + 1, len(order) - 1)]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    for _ in range(28):
-        if b - a < 1e-6:
-            break
-        x1 = b - phi * (b - a)
-        x2 = a + phi * (b - a)
-        v1, inf1 = bound_at(x1)
-        v2, inf2 = bound_at(x2)
-        if v1 > best_value:
-            best_value, best_alpha, best_inf = v1, x1, inf1
-        if v2 > best_value:
-            best_value, best_alpha, best_inf = v2, x2, inf2
-        if v1 < v2:
-            a = x1
-        else:
-            b = x2
 
-    # Re-resolve the infimum at the winning alpha with full band handling and
-    # recompute the bound from it, so the reported value reflects the band
-    # pass too (a smaller infimum can only weaken, never fake, the bound).
+    grid_min = _grid_minimizer(_tq_axis(w_q, w_u, opts), _tu_axis(w_q, w_u, opts), w_q, w_u)
+    coarse = [(grid_min(alpha)[0] - (1.0 - alpha) * rho_u) / alpha for alpha in order]
+    pos = int(np.argmax(coarse))
+
+    bounds: dict[float, float] = {}
+
+    def negated_bound(alpha: float) -> float:
+        value, _, _ = _polish(w_q, w_u, alpha, *grid_min(alpha), opts.exclude_band, (0.0, 1.0))
+        bounds[alpha] = (value - (1.0 - alpha) * rho_u) / alpha
+        return -bounds[alpha]
+
+    for alpha in order[max(pos - 2, 0) : pos + 3]:
+        negated_bound(alpha)
+    pos = order.index(max(bounds, key=bounds.get))
+    _golden_min(
+        negated_bound, order[max(pos - 1, 0)], order[min(pos + 1, len(order) - 1)], xtol=1e-6
+    )
+    best_alpha = max(bounds, key=bounds.get)
+    del grid_min  # free the grid before the final solve builds its own
+
+    # Re-resolve the infimum at the winning alpha with full band handling, so
+    # the reported value reflects the band pass too (a smaller infimum can
+    # only weaken, never fake, the bound).
     final_inf = minimize_objective(w_q, w_u, best_alpha, opts)
-    assert best_inf is not None
-    if best_inf.value < final_inf.value:
-        final_inf = replace(
-            final_inf,
-            value=best_inf.value,
-            t_q=best_inf.t_q,
-            t_u=best_inf.t_u,
-            tq_boundary=best_inf.tq_boundary,
-        )
     raw = (final_inf.value - (1.0 - best_alpha) * rho_u) / best_alpha
     boundary = best_alpha == order[0]
     clamped = not 0.0 <= raw <= 1.0

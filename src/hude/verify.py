@@ -6,7 +6,10 @@ so a packaged installation can be validated without pytest.
 """
 from __future__ import annotations
 
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 
@@ -110,6 +113,31 @@ def _check_hude_promise() -> str | None:
             continue
         if distributions.l1_distance(truth, inst.dataset.distribution(j)) < inst.epsilon:
             return f"separation promise violated by pair ({inst.truth_index}, {j})"
+    return None
+
+
+def _check_sidecar_validation() -> str | None:
+    inst = instances.gen_hude(40, 6, 0.5, 4.0, seed=32)
+    with tempfile.TemporaryDirectory() as outdir:
+        instances.save_instance(inst, outdir)
+        path = os.path.join(outdir, instances.SIDECAR_FILENAME)
+        with open(path, "r", encoding="utf-8") as fh:
+            sidecar = json.load(fh)
+        if instances.load_instance(outdir).truth_index != inst.truth_index:
+            return "an intact sidecar did not load back"
+        corrupted = {
+            "missing truth_index": {k: v for k, v in sidecar.items() if k != "truth_index"},
+            "k disagreeing with the dataset": {**sidecar, "k": inst.k + 1},
+            "out-of-range truth_index": {**sidecar, "truth_index": inst.k},
+        }
+        for name, bad in corrupted.items():
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(bad, fh)
+            try:
+                instances.load_instance(outdir)
+            except ValueError:
+                continue
+            return f"a sidecar with {name} was accepted"
     return None
 
 
@@ -245,6 +273,7 @@ SUITES = {
         "reduction-relation": _check_reduction_relation,
         "gapss-query-subset": _check_gapss_subset,
         "hude-promise": _check_hude_promise,
+        "sidecar-validation": _check_sidecar_validation,
     },
     "index": {
         "bucket-soundness": _check_bucket_soundness,

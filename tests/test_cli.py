@@ -117,6 +117,23 @@ class TestQuery:
         assert f"line {header + 3}: support 1 has element -1 outside" in done.stderr
         assert "Traceback" not in done.stderr
 
+    def test_missing_sidecar_key_is_a_clean_error(self, tmp_path, src_path):
+        out = tmp_path / "inst"
+        main(_gen_args(out))
+        sidecar = json.loads((out / "instance.json").read_text())
+        del sidecar["truth_index"]
+        (out / "instance.json").write_text(json.dumps(sidecar))
+        done = subprocess.run(
+            [sys.executable, "-m", "hude.cli", "query", "--instance", str(out),
+             "--algorithm", "elimination"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src_path)),
+        )
+        assert done.returncode == 1
+        assert "sidecar lacks key(s) 'truth_index'" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""
+
 
 class TestBench:
     def test_sweep_to_csv(self, tmp_path):
@@ -183,6 +200,23 @@ class TestTradeoff:
             "--curves", "prior-general", "--out", str(tmp_path / "x.csv"),
         ])
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--alpha-points", "0", "alpha_points must be at least 2 (got 0)"),
+            ("--alpha-points", "1", "alpha_points must be at least 2 (got 1)"),
+            ("--tu-points", "1", "grid sizes must be at least 2"),
+            ("--tq-points", "0", "grid sizes must be at least 2"),
+        ],
+    )
+    def test_degenerate_search_flags_fail(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "x.csv"
+        rc = main(["tradeoff", "--rho-u", "0.5", "--s-grid", "20:40:lin2",
+                   flag, value, "--out", str(out)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_grid_spec_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:

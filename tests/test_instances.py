@@ -1,5 +1,6 @@
 """Instance generators, Poisson samplers, the reduction, and instance files."""
 
+import json
 import math
 import os
 
@@ -258,3 +259,56 @@ class TestInstanceFiles:
         for name in ("dataset.txt", "instance.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
         assert os.path.getsize(a / "dataset.txt") > 0
+
+
+def _corrupt_sidecar(tmp_path, edit, problem="hude"):
+    inst = gen_hude(40, 6, 0.5, 4.0, seed=20) if problem == "hude" else gen_gapss(
+        40, 6, 0.5, 0.05, seed=20
+    )
+    out = tmp_path / "inst"
+    save_instance(inst, out)
+    path = out / "instance.json"
+    sidecar = json.loads(path.read_text())
+    path.write_text(json.dumps(edit(sidecar)))
+    return out
+
+
+def _without(*keys):
+    return lambda sidecar: {k: v for k, v in sidecar.items() if k not in keys}
+
+
+def _with(**fields):
+    return lambda sidecar: {**sidecar, **fields}
+
+
+class TestCorruptedSidecar:
+    @pytest.mark.parametrize(
+        "edit, problem, message",
+        [
+            (_without("truth_index"), "hude", "lacks key(s) 'truth_index'"),
+            (_without("problem"), "hude", "lacks key 'problem'"),
+            (_without("epsilon", "seed"), "hude", "lacks key(s) 'seed', 'epsilon'"),
+            (_without("w_q"), "gapss", "lacks key(s) 'w_q'"),
+            (_without("query", "query_stream"), "hude", "lacks key(s) 'query'"),
+            (_with(n=41), "hude", "sidecar has n = 41 but the dataset header has n = 40"),
+            (_with(k=7), "hude", "sidecar has k = 7 but the dataset header has k = 6"),
+            (_with(truth_index=6), "hude", "truth_index 6 is not an index in [0, 6)"),
+            (_with(truth_index="0"), "hude", "truth_index '0' is not an index"),
+            (_with(epsilon="0.5"), "hude", "sidecar epsilon '0.5' is not a number"),
+            (_with(w_q=None), "gapss", "sidecar w_q None is not a number"),
+            (_with(problem="other"), "hude", "unknown problem type in sidecar: 'other'"),
+            (_with(problem=["hude"]), "hude", "unknown problem type"),
+            (lambda sidecar: [sidecar], "hude", "sidecar is not a JSON object"),
+            (_with(query_stream=[0, 99]), "hude", "malformed query: sample outside domain"),
+            (_with(query=[[1]]), "gapss", "malformed query"),
+        ],
+    )
+    def test_rejected_with_named_cause(self, tmp_path, edit, problem, message):
+        out = _corrupt_sidecar(tmp_path, edit, problem)
+        with pytest.raises(ValueError) as err:
+            load_instance(out)
+        assert message in str(err.value)
+
+    def test_query_pairs_suffice_without_stream(self, tmp_path):
+        out = _corrupt_sidecar(tmp_path, _without("query_stream"))
+        assert load_instance(out).query.total > 0

@@ -241,16 +241,12 @@ class TestPinnedCurve:
             assert got.rho_q == pytest.approx(expected, abs=1e-8), f"rho_u={rho_u}"
 
 
-def _dense_outer_scan(w_q, w_u, alpha, points=20_001):
-    """Brute-force min over a dense t_u grid of min over t_q of the objective.
+def _inner_tq_bisection(u, w_q, w_u, alpha):
+    """Reference inner minimizer over t_q, vectorized over t_u = u.
 
-    The inner minimum is found by a vectorized bisection on the t_q-derivative
-    of the numerator (increasing on (0, t_u)), or at t_q = 0 when that
-    derivative is nonnegative throughout; values come from the definitional
-    coding.  Stays 0.01 away from t_u = w_u.
+    Bisection in log t_q on the t_q-derivative of the numerator (increasing
+    on (0, t_u)), or t_q = 0 when that derivative is nonnegative throughout.
     """
-    u = np.linspace(0.0, 1.0, points)[1:-1]
-    u = u[np.abs(u - w_u) >= 0.01]
 
     def h(t):
         return (
@@ -267,8 +263,21 @@ def _dense_outer_scan(w_q, w_u, alpha, points=20_001):
         below = h(np.exp(mid)) < 0.0
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    t_q = np.where(at_zero, 0.0, np.exp(0.5 * (lo + hi)))
-    return float(np.min(objective_from_divergences(t_q, u, w_q, w_u, alpha)))
+    return np.where(at_zero, 0.0, np.exp(0.5 * (lo + hi)))
+
+
+def _dense_outer_scan(w_q, w_u, alpha, points=20_001):
+    """Brute-force min over a dense t_u grid of min over t_q of the objective.
+
+    Values come from the definitional coding; stays 0.01 away from
+    t_u = w_u.  Returns the minimum and its t_u.
+    """
+    u = np.linspace(0.0, 1.0, points)[1:-1]
+    u = u[np.abs(u - w_u) >= 0.01]
+    t_q = _inner_tq_bisection(u, w_q, w_u, alpha)
+    values = objective_from_divergences(t_q, u, w_q, w_u, alpha)
+    best = int(np.argmin(values))
+    return float(values[best]), float(u[best])
 
 
 class TestInfimumOracle:
@@ -285,7 +294,47 @@ class TestInfimumOracle:
     )
     def test_not_above_dense_scan(self, w_q, alpha):
         got = minimize_objective(w_q, 0.5, alpha).value
-        assert got <= _dense_outer_scan(w_q, 0.5, alpha) + 1e-10
+        assert got <= _dense_outer_scan(w_q, 0.5, alpha)[0] + 1e-10
+
+    def test_inner_root_matches_bisection(self):
+        from hude.tradeoff import _inner_tq
+
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            w_q = float(rng.uniform(1e-4, 0.3))
+            w_u = float(rng.uniform(w_q + 0.05, 0.95))
+            alpha = float(rng.choice([rng.uniform(0.0, 1.0), 1.0]))
+            u = np.asarray([rng.uniform(1e-3, 1.0)])
+            expected = float(_inner_tq_bisection(u, w_q, w_u, alpha)[0])
+            got = _inner_tq(float(u[0]), w_q, w_u, alpha)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_polish_from_coarse_point_reaches_scan_plus_golden(self):
+        # Here the golden search lands within about 1e-12 of a window edge
+        # while the true minimum lies outside it; the polish has to notice
+        # and widen the window.
+        from hude.tradeoff import (
+            _golden_min,
+            _grid_minimizer,
+            _inner_tq,
+            _objective_scalar,
+            _polish,
+            _tq_axis,
+            _tu_axis,
+        )
+
+        w_q, w_u, alpha = reduction_w_q(20.0), 0.5, 0.722491
+        opts = SearchOptions()
+        coarse = _grid_minimizer(_tq_axis(w_q, w_u, opts), _tu_axis(w_q, w_u, opts), w_q, w_u)
+        value, _, t_u = _polish(w_q, w_u, alpha, *coarse(alpha), opts.exclude_band, (0.0, 1.0))
+
+        def outer(u):
+            return _objective_scalar(_inner_tq(u, w_q, w_u, alpha), u, w_q, w_u, alpha)
+
+        _, u_scan = _dense_outer_scan(w_q, w_u, alpha)
+        _, reference = _golden_min(outer, u_scan - 1e-4, u_scan + 1e-4)
+        assert abs(value - reference) <= 1e-12
+        assert t_u == pytest.approx(0.887873, abs=1e-6)
 
 
 class TestClosedFormCurves:
