@@ -24,6 +24,14 @@ from .subset_index import IndexParams, preprocess, query
 SWEEP_PARAMS = ("k", "n", "S", "ell")
 
 
+def _json_type_ok(value, annotation: str) -> bool:
+    """Whether a decoded JSON value fits a config field's annotation."""
+    if annotation == "tuple":
+        return isinstance(value, list | tuple) and all(_json_type_ok(v, "float") for v in value)
+    want = {"str": str, "int": int, "float": int | float}[annotation]
+    return isinstance(value, want) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     sweep_param: str
@@ -47,8 +55,10 @@ class ExperimentConfig:
             raise ValueError(f"sweep parameter must be one of {SWEEP_PARAMS}")
         if not self.sweep_values:
             raise ValueError("sweep needs at least one value")
-        if min(self.k, self.n, self.S, self.ell, self.queries_per_point) <= 0:
+        if min(self.k, self.n, self.S, self.ell, self.queries_per_point, self.L_init) <= 0:
             raise ValueError("all dimensions must be positive")
+        if self.L_factor <= 1:
+            raise ValueError(f"L_factor must exceed 1 (got {self.L_factor!r})")
 
     def resolved_point(self, value) -> tuple[int, int, int, int]:
         """(k, n, S, ell) for one sweep value, with the desk-scale factor applied to k."""
@@ -67,11 +77,22 @@ class ExperimentConfig:
         return k, n, S, ell
 
     @classmethod
-    def from_json(cls, payload: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
+    def from_json(cls, payload, overrides: dict | None = None) -> "ExperimentConfig":
+        """Config from a decoded JSON object, with ``overrides`` taking precedence.
+
+        A payload that is not an object, an unknown key, or a value of the
+        wrong type raises ValueError naming the key.
+        """
+        if not isinstance(payload, dict):
+            raise ValueError(f"config must be a JSON object, not {type(payload).__name__}")
+        payload = {**payload, **(overrides or {})}
+        known = {f.name: f.type for f in fields(cls)}
+        unknown = set(payload) - set(known)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in payload.items():
+            if not _json_type_ok(value, known[key]):
+                raise ValueError(f"config key {key!r} must be of type {known[key]}, got {value!r}")
         if "sweep_values" in payload:
             payload = dict(payload, sweep_values=tuple(payload["sweep_values"]))
         return cls(**payload)

@@ -19,14 +19,7 @@ from . import __version__
 from .bench import AdaptiveSearchError, ExperimentConfig, run_sweep, write_results_csv
 from .distributions import OpCounter
 from .elimination import eliminate
-from .instances import (
-    GapssInstance,
-    gen_gapss,
-    gen_hude,
-    gen_urde,
-    load_instance,
-    save_instance,
-)
+from .instances import FAMILIES, GapssInstance, load_instance, save_instance
 from .rng import stream_key, substream
 from .subset_index import IndexParams, dump_index, preprocess, query, theoretical_params
 from .tradeoff import (
@@ -46,16 +39,24 @@ def _parse_grid(spec: str) -> list[float]:
     """Grid syntax 'lo:hi:logN' (geometric) or 'lo:hi:linN' (arithmetic)."""
     try:
         lo_s, hi_s, kind = spec.split(":")
-        lo, hi = float(lo_s), float(hi_s)
-        if kind.startswith("log"):
-            count = int(kind[3:])
-            return np.geomspace(lo, hi, count).tolist()
-        if kind.startswith("lin"):
-            count = int(kind[3:])
-            return np.linspace(lo, hi, count).tolist()
-    except (ValueError, IndexError):
+        lo, hi, count = float(lo_s), float(hi_s), int(kind[3:])
+        space = {"log": np.geomspace, "lin": np.linspace}.get(kind[:3])
+        if space is not None and count >= 1:
+            return space(lo, hi, count).tolist()
+    except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"bad grid spec {spec!r} (want lo:hi:logN or lo:hi:linN)")
+    raise argparse.ArgumentTypeError(
+        f"bad grid spec {spec!r} (want lo:hi:logN or lo:hi:linN with N >= 1)"
+    )
+
+
+# Generator parameter -> (its ``gen`` flag, help); FAMILIES says who uses it.
+_GEN_FLAGS = {
+    "s": ("--s", "sample-ratio parameter"),
+    "epsilon": ("--eps", "L1 separation promise"),
+    "w_u": ("--w-u", "support inclusion probability"),
+    "w_q": ("--w-q", "query inclusion probability"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,13 +68,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance and write its files")
-    gen.add_argument("--problem", required=True, choices=["hude", "urde", "gapss"])
+    gen.add_argument("--problem", required=True, choices=list(FAMILIES))
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--k", type=int, required=True)
-    gen.add_argument("--s", type=float, help="sample-ratio parameter (hude, urde)")
-    gen.add_argument("--eps", type=float, help="L1 separation promise (hude)")
-    gen.add_argument("--w-u", type=float, help="support inclusion probability (urde, gapss)")
-    gen.add_argument("--w-q", type=float, help="query inclusion probability (gapss)")
+    for name, (flag, text) in _GEN_FLAGS.items():
+        users = ", ".join(p for p, family in FAMILIES.items() if name in family.params)
+        gen.add_argument(flag, dest=name, type=float, help=f"{text} ({users})")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output directory")
 
@@ -128,21 +128,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    if args.problem == "hude":
-        if args.s is None or args.eps is None:
-            _log("gen hude needs --s and --eps")
-            return 2
-        instance = gen_hude(args.n, args.k, args.eps, args.s, args.seed)
-    elif args.problem == "urde":
-        if args.s is None or args.w_u is None:
-            _log("gen urde needs --s and --w-u")
-            return 2
-        instance = gen_urde(args.n, args.k, args.w_u, args.s, args.seed)
-    else:
-        if args.w_u is None or args.w_q is None:
-            _log("gen gapss needs --w-u and --w-q")
-            return 2
-        instance = gen_gapss(args.n, args.k, args.w_u, args.w_q, args.seed)
+    family = FAMILIES[args.problem]
+    missing = [_GEN_FLAGS[name][0] for name in family.params if getattr(args, name) is None]
+    if missing:
+        _log(f"gen {args.problem} needs {' and '.join(missing)}")
+        return 2
+    values = [getattr(args, name) for name in family.params]
+    instance = family.generator(args.n, args.k, *values, seed=args.seed)
     save_instance(instance, args.out)
     _log(f"wrote {args.problem} instance (n={args.n}, k={args.k}) to {args.out}")
     return 0
@@ -205,27 +197,23 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    payload: dict = {}
+    payload = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            payload.update(json.load(fh))
-    if args.sweep:
-        payload["sweep_param"] = args.sweep
-    if args.values:
-        payload["sweep_values"] = [int(v) for v in args.values.split(",")]
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    if args.scale is not None:
-        payload["scale"] = args.scale
-    if args.queries is not None:
-        payload["queries_per_point"] = args.queries
-    if args.variant is not None:
-        payload["variant"] = args.variant
-    for name in ("L_init", "L_factor", "L_cap"):
-        value = getattr(args, name)
-        if value is not None:
-            payload[name] = value
-    config = ExperimentConfig.from_json(payload)
+            payload = json.load(fh)
+    flags = {
+        "sweep_param": args.sweep,
+        "sweep_values": [int(v) for v in args.values.split(",")] if args.values else None,
+        "seed": args.seed,
+        "scale": args.scale,
+        "queries_per_point": args.queries,
+        "variant": args.variant,
+        "L_init": args.L_init,
+        "L_factor": args.L_factor,
+        "L_cap": args.L_cap,
+    }
+    overrides = {key: value for key, value in flags.items() if value is not None}
+    config = ExperimentConfig.from_json(payload, overrides)
     _log(f"sweeping {config.sweep_param} over {list(config.sweep_values)} (seed {config.seed})")
     try:
         rows = run_sweep(config)
@@ -233,7 +221,7 @@ def _cmd_bench(args) -> int:
         _log(f"adaptive probe search aborted at {err.point}: {err}")
         _log(f"accuracy trace: {err.trace}")
         return 1
-    metadata = {"config": payload, "version": __version__}
+    metadata = {"config": {**payload, **overrides}, "version": __version__}
     write_results_csv(rows, args.out, metadata)
     _log(f"wrote {len(rows)} rows to {args.out}")
     return 0

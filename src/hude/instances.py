@@ -16,6 +16,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,8 +34,20 @@ class GenerationError(RuntimeError):
     """Instance generation failed its post-generation validity check."""
 
 
+class _OnDataset:
+    """Domain size and dataset size, read from the instance's dataset."""
+
+    @property
+    def n(self) -> int:
+        return self.dataset.n
+
+    @property
+    def k(self) -> int:
+        return self.dataset.k
+
+
 @dataclass(frozen=True)
-class HudeInstance:
+class HudeInstance(_OnDataset):
     """k half-uniform distributions, a hidden truth index, and its query."""
 
     dataset: Dataset
@@ -45,17 +58,9 @@ class HudeInstance:
     seed: int
     attempts: int = 1  # dataset resamples consumed by the separation check
 
-    @property
-    def n(self) -> int:
-        return self.dataset.n
-
-    @property
-    def k(self) -> int:
-        return self.dataset.k
-
 
 @dataclass(frozen=True)
-class UrdeInstance:
+class UrdeInstance(_OnDataset):
     """Random Bernoulli supports with a Poisson-sized query from the truth."""
 
     dataset: Dataset
@@ -66,17 +71,9 @@ class UrdeInstance:
     seed: int
     truth_resamples: int = 0
 
-    @property
-    def n(self) -> int:
-        return self.dataset.n
-
-    @property
-    def k(self) -> int:
-        return self.dataset.k
-
 
 @dataclass(frozen=True)
-class GapssInstance:
+class GapssInstance(_OnDataset):
     """Bernoulli dataset points plus a query drawn as a correlated subset.
 
     Coordinatewise, (query, truth) follows the joint law
@@ -90,14 +87,6 @@ class GapssInstance:
     truth_index: int
     query: SupportSet
     seed: int
-
-    @property
-    def n(self) -> int:
-        return self.dataset.n
-
-    @property
-    def k(self) -> int:
-        return self.dataset.k
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +285,30 @@ def reduce_gapss_to_urde(
 
 
 # ---------------------------------------------------------------------------
+# The problem families: one row each drives generation and the instance files
+# ---------------------------------------------------------------------------
+
+
+class Family(NamedTuple):
+    """What generation and the instance files need to know about one family."""
+
+    instance_type: type
+    generator: Callable  # generator(n, k, *params, seed)
+    params: tuple[str, ...]  # generator parameters, in generator order
+    counters: dict  # optional sidecar counters and their defaults
+
+
+FAMILIES = {
+    "hude": Family(HudeInstance, gen_hude, ("epsilon", "s"), {"attempts": 1}),
+    "urde": Family(UrdeInstance, gen_urde, ("w_u", "s"), {"truth_resamples": 0}),
+    "gapss": Family(GapssInstance, gen_gapss, ("w_u", "w_q"), {}),
+}
+
+# gapss stores its query as a set of elements; the others as a draw stream.
+_SET_QUERY = "gapss"
+
+
+# ---------------------------------------------------------------------------
 # Instance files: the dataset text format plus a JSON sidecar
 # ---------------------------------------------------------------------------
 
@@ -308,7 +321,12 @@ _FORMAT_VERSION = 1
 def _sidecar_dict(instance) -> dict:
     from . import __version__
 
-    common = {
+    for problem, family in FAMILIES.items():
+        if isinstance(instance, family.instance_type):
+            break
+    else:
+        raise TypeError(f"not an instance type: {type(instance)!r}")
+    sidecar = {
         "format": "hude-instance",
         "version": _FORMAT_VERSION,
         "library_version": __version__,
@@ -316,35 +334,16 @@ def _sidecar_dict(instance) -> dict:
         "k": instance.k,
         "seed": instance.seed,
         "truth_index": instance.truth_index,
+        "problem": problem,
     }
-    if isinstance(instance, HudeInstance):
-        common.update(
-            problem="hude",
-            epsilon=instance.epsilon,
-            s=instance.s,
-            attempts=instance.attempts,
-            query=[[e, c] for e, c in instance.query.pairs()],
-            query_stream=instance.query.order.tolist(),
-        )
-    elif isinstance(instance, UrdeInstance):
-        common.update(
-            problem="urde",
-            w_u=instance.w_u,
-            s=instance.s,
-            truth_resamples=instance.truth_resamples,
-            query=[[e, c] for e, c in instance.query.pairs()],
-            query_stream=instance.query.order.tolist(),
-        )
-    elif isinstance(instance, GapssInstance):
-        common.update(
-            problem="gapss",
-            w_u=instance.w_u,
-            w_q=instance.w_q,
-            query=[[int(e), 1] for e in instance.query.indices.tolist()],
-        )
+    for key in (*family.params, *family.counters):
+        sidecar[key] = getattr(instance, key)
+    if problem == _SET_QUERY:
+        sidecar["query"] = [[int(e), 1] for e in instance.query.indices.tolist()]
     else:
-        raise TypeError(f"not an instance type: {type(instance)!r}")
-    return common
+        sidecar["query"] = [[e, c] for e, c in instance.query.pairs()]
+        sidecar["query_stream"] = instance.query.order.tolist()
+    return sidecar
 
 
 def save_instance(instance, outdir) -> None:
@@ -357,13 +356,6 @@ def save_instance(instance, outdir) -> None:
     save_dataset(instance.dataset, os.path.join(outdir, DATASET_FILENAME), dataset_meta)
     with open(os.path.join(outdir, SIDECAR_FILENAME), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(sidecar, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-_SIDECAR_KEYS = {
-    "hude": ("epsilon", "s", "query"),
-    "urde": ("w_u", "s", "query"),
-    "gapss": ("w_u", "w_q", "query"),
-}
 
 
 def load_instance(outdir):
@@ -383,11 +375,11 @@ def load_instance(outdir):
     if "problem" not in sidecar:
         raise ValueError(f"{path}: sidecar lacks key 'problem'")
     problem = sidecar["problem"]
-    if not isinstance(problem, str) or problem not in _SIDECAR_KEYS:
+    if not isinstance(problem, str) or problem not in FAMILIES:
         raise ValueError(f"{path}: unknown problem type in sidecar: {problem!r}")
-    needed = ["n", "k", "seed", "truth_index", *_SIDECAR_KEYS[problem]]
-    if problem != "gapss" and "query_stream" in sidecar:
-        needed.remove("query")
+    family = FAMILIES[problem]
+    stream = problem != _SET_QUERY and "query_stream" in sidecar
+    needed = ["n", "k", "seed", "truth_index", *family.params, *([] if stream else ["query"])]
     missing = [key for key in needed if key not in sidecar]
     if missing:
         raise ValueError(f"{path}: sidecar lacks key(s) {', '.join(map(repr, missing))}")
@@ -397,51 +389,24 @@ def load_instance(outdir):
                 f"{path}: sidecar has {key} = {sidecar[key]!r} but the dataset header "
                 f"has {key} = {actual}"
             )
-    for key in ("seed", "epsilon", "s", "w_u", "w_q"):
-        if key in needed and type(sidecar[key]) not in (int, float):
+    for key in family.params:
+        if type(sidecar[key]) not in (int, float):
             raise ValueError(f"{path}: sidecar {key} {sidecar[key]!r} is not a number")
+    counters = {key: sidecar.get(key, default) for key, default in family.counters.items()}
+    for key, value in {"seed": sidecar["seed"], **counters}.items():
+        if type(value) is not int:
+            raise ValueError(f"{path}: sidecar {key} {value!r} is not an integer")
     truth = sidecar["truth_index"]
     if type(truth) is not int or not 0 <= truth < dataset.k:
         raise ValueError(f"{path}: truth_index {truth!r} is not an index in [0, {dataset.k})")
     try:
-        return _instance_from_sidecar(dataset, sidecar)
+        if problem == _SET_QUERY:
+            query = SupportSet.from_indices(dataset.n, [e for e, _ in sidecar["query"]])
+        elif stream:
+            query = QueryMultiset(dataset.n, np.asarray(sidecar["query_stream"], dtype=np.int64))
+        else:
+            query = QueryMultiset.from_pairs(dataset.n, sidecar["query"])
     except (TypeError, ValueError) as err:
         raise ValueError(f"{path}: malformed query: {err}") from None
-
-
-def _instance_from_sidecar(dataset, sidecar):
-    problem = sidecar["problem"]
-    n = sidecar["n"]
-    if problem == "gapss":
-        query_bits = SupportSet.from_indices(n, [e for e, _ in sidecar["query"]])
-        return GapssInstance(
-            dataset,
-            sidecar["w_u"],
-            sidecar["w_q"],
-            sidecar["truth_index"],
-            query_bits,
-            sidecar["seed"],
-        )
-    if "query_stream" in sidecar:
-        query = QueryMultiset(n, np.asarray(sidecar["query_stream"], dtype=np.int64))
-    else:
-        query = QueryMultiset.from_pairs(n, sidecar["query"])
-    if problem == "hude":
-        return HudeInstance(
-            dataset,
-            sidecar["epsilon"],
-            sidecar["s"],
-            sidecar["truth_index"],
-            query,
-            sidecar["seed"],
-            sidecar.get("attempts", 1),
-        )
-    return UrdeInstance(
-        dataset,
-        sidecar["w_u"],
-        sidecar["s"],
-        sidecar["truth_index"],
-        query,
-        sidecar["seed"],
-        sidecar.get("truth_resamples", 0),
-    )
+    fields = {key: sidecar[key] for key in ("seed", "truth_index", *family.params)}
+    return family.instance_type(dataset=dataset, query=query, **fields, **counters)

@@ -250,16 +250,14 @@ def theoretical_params(
     The probe count is L = ceil(c * k^rho_u) and the probe size solves
     L = c * base^ell for base = 2/(1 - e^{-2/s}), floored to an integer and
     clamped to at least 1 (``clamped`` flags the degenerate case).  The
-    predicted query exponent is 1 + rho_u * log(1 - epsilon/2) / log(base).
+    predicted query exponent is :func:`~hude.tradeoff.upper_exponent`,
+    1 + rho_u * log(1 - epsilon/2) / log(base), floored at 0.
     """
-    if rho_u < 0:
-        raise ValueError("space exponent must be nonnegative")
-    if s < 2:
-        raise ValueError("sample-ratio parameter must be at least 2")
+    from .tradeoff import upper_exponent
+
+    predicted = max(0.0, upper_exponent(s, rho_u, epsilon))  # validates s, rho_u, epsilon
     if k < 2:
         raise ValueError("need at least two distributions")
-    if not 0 < epsilon <= 2:
-        raise ValueError("separation must be in (0, 2]")
     base = 2.0 / -math.expm1(-2.0 / s)
     ell_exact = rho_u * math.log(k) / math.log(base)
     clamped = ell_exact < 1.0
@@ -267,10 +265,6 @@ def theoretical_params(
     # base**ell_exact == k**rho_u by construction; the direct form is exact
     # when k**rho_u is (ceil would otherwise pick up float noise).
     num_probes = math.ceil(c * k**rho_u)
-    if epsilon == 2.0:
-        predicted = 0.0  # log(1 - eps/2) diverges; clamp the exponent at zero
-    else:
-        predicted = max(0.0, 1.0 + rho_u * math.log1p(-epsilon / 2.0) / math.log(base))
     return TheoreticalChoice(
         IndexParams(num_probes, ell, c_query=c_query, variant=variant),
         predicted,

@@ -168,16 +168,16 @@ def entropy_gap(x, return_boundary: bool = False):
 
 
 _EDGE_MARGIN = 1e-9  # grids stay this far inside the t_q < t_u edge
+_EXCLUDE_BAND = 1e-4  # main-pass exclusion half-width around t_u == w_u
+_INNER_BAND = 1e-6  # the band pass resolves down to this distance
 
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Coarse-grid densities and band widths for the objective minimization."""
+    """Coarse-grid densities for the objective minimization."""
 
     tu_points: int = 401
     tq_points: int = 241
-    exclude_band: float = 1e-4  # primary exclusion half-width around t_u == w_u
-    inner_band: float = 1e-6  # secondary pass resolves down to this distance
 
     def __post_init__(self):
         if self.tu_points < 2 or self.tq_points < 2:
@@ -196,24 +196,24 @@ class InfimumResult:
     near_band: bool  # minimizer within the secondary band around t_u = w_u
 
 
-def _tu_axis(w_q: float, w_u: float, opts: SearchOptions) -> np.ndarray:
+def _tu_axis(w_u: float, points: int) -> np.ndarray:
     pieces = [
-        np.linspace(0.0, 1.0, opts.tu_points),
-        w_u - np.geomspace(opts.exclude_band, min(0.25, w_u), 48),
-        w_u + np.geomspace(opts.exclude_band, min(0.25, 1.0 - w_u), 48),
+        np.linspace(0.0, 1.0, points),
+        w_u - np.geomspace(_EXCLUDE_BAND, min(0.25, w_u), 48),
+        w_u + np.geomspace(_EXCLUDE_BAND, min(0.25, 1.0 - w_u), 48),
         np.asarray([0.0, 1.0]),
     ]
     axis = np.unique(np.concatenate(pieces))
     axis = axis[(axis >= 0.0) & (axis <= 1.0)]
-    return axis[np.abs(axis - w_u) >= opts.exclude_band]
+    return axis[np.abs(axis - w_u) >= _EXCLUDE_BAND]
 
 
-def _tq_axis(w_q: float, w_u: float, opts: SearchOptions) -> np.ndarray:
+def _tq_axis(w_q: float, points: int) -> np.ndarray:
     # Geometric coverage of (0, 1] with extra density around w_q, where the
     # interior stationary point lives, plus the exact boundary point 0.
     pieces = [
         np.asarray([0.0]),
-        np.geomspace(1e-12, 1.0, opts.tq_points),
+        np.geomspace(1e-12, 1.0, points),
         w_q * np.geomspace(0.08, 12.5, 49),
     ]
     axis = np.unique(np.concatenate(pieces))
@@ -412,6 +412,24 @@ def _polish(
     return value, t_q, t_u
 
 
+def _with_band_pass(main, tq_axis, w_q: float, w_u: float, alpha: float) -> InfimumResult:
+    """The main pass's (value, t_q, t_u), or the band pass's if that is lower.
+
+    The band pass does the grid-plus-polish over the annulus
+    _INNER_BAND <= |t_u - w_u| <= _EXCLUDE_BAND, to confirm the infimum is
+    not hiding next to the line the main pass removed.
+    """
+    steps = np.geomspace(_INNER_BAND, _EXCLUDE_BAND, 33)
+    band_axis = np.unique(np.concatenate([w_u - steps, w_u + steps]))
+    band_axis = band_axis[(band_axis > 0.0) & (band_axis < 1.0)]
+    band_min = _grid_minimizer(tq_axis, band_axis, w_q, w_u)
+    sides = (w_u - _EXCLUDE_BAND, w_u + _EXCLUDE_BAND)
+    band = _polish(w_q, w_u, alpha, *band_min(alpha), _INNER_BAND, sides)
+    near_band = band[0] < main[0]
+    value, t_q, t_u = band if near_band else main
+    return InfimumResult(value, t_q, t_u, t_q == 0.0, near_band)
+
+
 def minimize_objective(
     w_q: float,
     w_u: float,
@@ -422,9 +440,7 @@ def minimize_objective(
 
     Coarse product grid (log-spaced in t_q, dense near t_q ~ w_q and near the
     excluded band in t_u), then the exact 1-D polish from the grid argmin,
-    then a secondary pass that does the same over the annulus
-    inner_band <= |t_u - w_u| <= exclude_band to confirm the infimum is not
-    hiding next to the removed line.
+    then the band pass (see _with_band_pass).
     """
     if not 0.0 < w_q < w_u < 1.0:
         raise ValueError("parameters must satisfy 0 < w_q < w_u < 1")
@@ -432,30 +448,10 @@ def minimize_objective(
         raise ValueError("alpha must lie in [0, 1]")
     opts = opts or SearchOptions()
 
-    tq_axis = _tq_axis(w_q, w_u, opts)
-    grid_min = _grid_minimizer(tq_axis, _tu_axis(w_q, w_u, opts), w_q, w_u)
-    value, t_q, t_u = _polish(
-        w_q, w_u, alpha, *grid_min(alpha), opts.exclude_band, (0.0, 1.0)
-    )
-
-    # Secondary pass: resolve the excluded band down to inner_band.
-    steps = np.geomspace(opts.inner_band, opts.exclude_band, 33)
-    band_axis = np.unique(np.concatenate([w_u - steps, w_u + steps]))
-    band_axis = band_axis[(band_axis > 0.0) & (band_axis < 1.0)]
-    band_min = _grid_minimizer(tq_axis, band_axis, w_q, w_u)
-    b_value, b_tq, b_tu = _polish(
-        w_q,
-        w_u,
-        alpha,
-        *band_min(alpha),
-        opts.inner_band,
-        (w_u - opts.exclude_band, w_u + opts.exclude_band),
-    )
-    near_band = False
-    if b_value < value:
-        value, t_q, t_u = b_value, b_tq, b_tu
-        near_band = True
-    return InfimumResult(value, t_q, t_u, t_q == 0.0, near_band)
+    tq_axis = _tq_axis(w_q, opts.tq_points)
+    grid_min = _grid_minimizer(tq_axis, _tu_axis(w_u, opts.tu_points), w_q, w_u)
+    main = _polish(w_q, w_u, alpha, *grid_min(alpha), _EXCLUDE_BAND, (0.0, 1.0))
+    return _with_band_pass(main, tq_axis, w_q, w_u, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +482,8 @@ def query_exponent_lower_bound(
     coarse (t_q, t_u) grid at every grid alpha; the infimum is solved exactly
     only at the coarse maximizer and its two neighbours on each side, and a
     golden-section pass refines the bracket around the best of those.  The
-    result is clamped to [0, 1].
+    band pass runs once, at the winning alpha.  The result is clamped to
+    [0, 1].
     """
     if rho_u < 0:
         raise ValueError("space exponent must be nonnegative")
@@ -502,30 +499,32 @@ def query_exponent_lower_bound(
         alphas = np.unique(np.concatenate([alphas, [alpha_theory]]))
     order = alphas.tolist()
 
-    grid_min = _grid_minimizer(_tq_axis(w_q, w_u, opts), _tu_axis(w_q, w_u, opts), w_q, w_u)
+    tq_axis = _tq_axis(w_q, opts.tq_points)
+    grid_min = _grid_minimizer(tq_axis, _tu_axis(w_u, opts.tu_points), w_q, w_u)
     coarse = [(grid_min(alpha)[0] - (1.0 - alpha) * rho_u) / alpha for alpha in order]
     pos = int(np.argmax(coarse))
 
-    bounds: dict[float, float] = {}
+    solves: dict[float, tuple[float, float, float]] = {}  # alpha -> main-pass minimum
+
+    def bound(alpha: float) -> float:
+        return (solves[alpha][0] - (1.0 - alpha) * rho_u) / alpha
 
     def negated_bound(alpha: float) -> float:
-        value, _, _ = _polish(w_q, w_u, alpha, *grid_min(alpha), opts.exclude_band, (0.0, 1.0))
-        bounds[alpha] = (value - (1.0 - alpha) * rho_u) / alpha
-        return -bounds[alpha]
+        solves[alpha] = _polish(w_q, w_u, alpha, *grid_min(alpha), _EXCLUDE_BAND, (0.0, 1.0))
+        return -bound(alpha)
 
     for alpha in order[max(pos - 2, 0) : pos + 3]:
         negated_bound(alpha)
-    pos = order.index(max(bounds, key=bounds.get))
+    pos = order.index(max(solves, key=bound))
     _golden_min(
         negated_bound, order[max(pos - 1, 0)], order[min(pos + 1, len(order) - 1)], xtol=1e-6
     )
-    best_alpha = max(bounds, key=bounds.get)
-    del grid_min  # free the grid before the final solve builds its own
+    best_alpha = max(solves, key=bound)
+    del grid_min  # free the main grid before the band pass
 
-    # Re-resolve the infimum at the winning alpha with full band handling, so
-    # the reported value reflects the band pass too (a smaller infimum can
-    # only weaken, never fake, the bound).
-    final_inf = minimize_objective(w_q, w_u, best_alpha, opts)
+    # The band pass at the winning alpha only: the reported value reflects it
+    # (a smaller infimum can only weaken, never fake, the bound).
+    final_inf = _with_band_pass(solves[best_alpha], tq_axis, w_q, w_u, best_alpha)
     raw = (final_inf.value - (1.0 - best_alpha) * rho_u) / best_alpha
     boundary = best_alpha == order[0]
     clamped = not 0.0 <= raw <= 1.0

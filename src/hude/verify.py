@@ -116,28 +116,35 @@ def _check_hude_promise() -> str | None:
     return None
 
 
+# Small valid generator parameters for each family, in generator order.
+_SAMPLE_PARAMS = {"hude": (0.5, 4.0), "urde": (0.5, 4.0), "gapss": (0.5, 0.05)}
+
+
 def _check_sidecar_validation() -> str | None:
-    inst = instances.gen_hude(40, 6, 0.5, 4.0, seed=32)
-    with tempfile.TemporaryDirectory() as outdir:
-        instances.save_instance(inst, outdir)
-        path = os.path.join(outdir, instances.SIDECAR_FILENAME)
-        with open(path, "r", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-        if instances.load_instance(outdir).truth_index != inst.truth_index:
-            return "an intact sidecar did not load back"
-        corrupted = {
-            "missing truth_index": {k: v for k, v in sidecar.items() if k != "truth_index"},
-            "k disagreeing with the dataset": {**sidecar, "k": inst.k + 1},
-            "out-of-range truth_index": {**sidecar, "truth_index": inst.k},
-        }
-        for name, bad in corrupted.items():
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(bad, fh)
-            try:
-                instances.load_instance(outdir)
-            except ValueError:
-                continue
-            return f"a sidecar with {name} was accepted"
+    for problem, family in instances.FAMILIES.items():
+        inst = family.generator(40, 6, *_SAMPLE_PARAMS[problem], seed=32)
+        with tempfile.TemporaryDirectory() as outdir:
+            instances.save_instance(inst, outdir)
+            path = os.path.join(outdir, instances.SIDECAR_FILENAME)
+            with open(path, "r", encoding="utf-8") as fh:
+                sidecar = json.load(fh)
+            back = instances.load_instance(outdir)
+            if (back.truth_index, back.dataset) != (inst.truth_index, inst.dataset):
+                return f"an intact {problem} sidecar did not load back"
+            corrupted = {
+                "k disagreeing with the dataset": {**sidecar, "k": inst.k + 1},
+                "out-of-range truth_index": {**sidecar, "truth_index": inst.k},
+            }
+            for key in ("truth_index", *family.params):
+                corrupted[f"missing {key}"] = {k: v for k, v in sidecar.items() if k != key}
+            for name, bad in corrupted.items():
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(bad, fh)
+                try:
+                    instances.load_instance(outdir)
+                except ValueError:
+                    continue
+                return f"a {problem} sidecar with {name} was accepted"
     return None
 
 

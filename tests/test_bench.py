@@ -232,6 +232,43 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             config.resolved_point(63)
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([{"sweep_param": "k"}], "config must be a JSON object, not list"),
+            ("k", "config must be a JSON object, not str"),
+            ({"sweep_param": "k", "sweep_values": [2], "k": "abc"}, "config key 'k'"),
+            ({"sweep_param": "k", "sweep_values": [2], "k": True}, "config key 'k'"),
+            ({"sweep_param": "k", "sweep_values": [2], "L_factor": None}, "config key 'L_factor'"),
+            ({"sweep_param": "k", "sweep_values": 2}, "config key 'sweep_values'"),
+            ({"sweep_param": "k", "sweep_values": [None]}, "config key 'sweep_values'"),
+            ({"sweep_param": 3, "sweep_values": [2]}, "config key 'sweep_param'"),
+        ],
+    )
+    def test_from_json_rejects_malformed_payload(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_json(payload)
+
+    def test_from_json_overrides_win(self):
+        config = ExperimentConfig.from_json(
+            {"sweep_param": "k", "sweep_values": [2], "seed": 1, "L_factor": 2}, {"seed": 5}
+        )
+        assert (config.seed, config.sweep_values, config.L_factor) == (5, (2,), 2)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("L_factor", 1.0, "L_factor must exceed 1"),
+            ("L_factor", 0.5, "L_factor must exceed 1"),
+            ("L_init", 0, "must be positive"),
+        ],
+    )
+    def test_probe_growth_must_make_progress(self, field, value, message):
+        # A factor of 1 (or an initial count of 0) never grows the probe
+        # count, so the adaptive search would never stop.
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(sweep_param="k", sweep_values=(10,), **{field: value})
+
 
 class TestSweepShapes:
     def test_domain_growth_degrades_subset_but_not_elimination(self):

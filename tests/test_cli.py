@@ -39,10 +39,22 @@ class TestGen:
         for name in ("dataset.txt", "instance.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_missing_problem_flags_fail(self, tmp_path):
-        rc = main(["gen", "--problem", "hude", "--n", "100", "--k", "10",
-                   "--out", str(tmp_path / "x")])
+    @pytest.mark.parametrize(
+        "problem, given, message",
+        [
+            ("hude", [], "gen hude needs --eps and --s"),
+            ("hude", ["--s", "5"], "gen hude needs --eps"),
+            ("urde", [], "gen urde needs --w-u and --s"),
+            ("gapss", ["--w-u", "0.5"], "gen gapss needs --w-q"),
+        ],
+        ids=["hude-none", "hude-s", "urde-none", "gapss-w-u"],
+    )
+    def test_missing_problem_flags_fail(self, tmp_path, capsys, problem, given, message):
+        rc = main(["gen", "--problem", problem, "--n", "100", "--k", "10",
+                   "--out", str(tmp_path / "x"), *given])
         assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestQuery:
@@ -170,6 +182,34 @@ class TestBench:
         assert rc == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([1, 2], "config must be a JSON object, not list"),
+            ({"sweep_param": "k", "sweep_values": [100], "k": "abc"}, "config key 'k'"),
+        ],
+    )
+    def test_malformed_config_is_a_clean_error(self, tmp_path, capsys, payload, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "rows.csv"
+        assert main(["bench", "--config", str(config), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unit_probe_factor_is_a_clean_error(self, tmp_path, src_path):
+        # Run in a child with a timeout: a factor of 1 used to loop forever.
+        done = subprocess.run(
+            [sys.executable, "-m", "hude.cli", "bench", "--sweep", "k", "--values", "100",
+             "--L-init", "4", "--L-factor", "1", "--L-cap", "100",
+             "--out", str(tmp_path / "rows.csv")],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(src_path)),
+        )
+        assert done.returncode == 1
+        assert "L_factor must exceed 1 (got 1.0)" in done.stderr
+        assert "Traceback" not in done.stderr
+
 
 def _write_hard_config(tmp_path):
     # Too few samples to disambiguate: the probe search cannot reach 100%.
@@ -218,11 +258,13 @@ class TestTradeoff:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_grid_spec_is_usage_error(self, tmp_path):
+    @pytest.mark.parametrize("spec", ["oops", "20:40:log0", "20:40:lin-1", "20:40:geo5"])
+    def test_bad_grid_spec_is_usage_error(self, tmp_path, spec):
         with pytest.raises(SystemExit) as err:
-            main(["tradeoff", "--rho-u", "0.5", "--s-grid", "oops",
+            main(["tradeoff", "--rho-u", "0.5", "--s-grid", spec,
                   "--out", str(tmp_path / "x.csv")])
         assert err.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestVerifyAndUsage:

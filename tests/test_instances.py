@@ -296,6 +296,9 @@ class TestCorruptedSidecar:
             (_with(truth_index="0"), "hude", "truth_index '0' is not an index"),
             (_with(epsilon="0.5"), "hude", "sidecar epsilon '0.5' is not a number"),
             (_with(w_q=None), "gapss", "sidecar w_q None is not a number"),
+            (_with(seed=2.5), "hude", "sidecar seed 2.5 is not an integer"),
+            (_with(attempts="1"), "hude", "sidecar attempts '1' is not an integer"),
+            (_with(attempts=1.5), "hude", "sidecar attempts 1.5 is not an integer"),
             (_with(problem="other"), "hude", "unknown problem type in sidecar: 'other'"),
             (_with(problem=["hude"]), "hude", "unknown problem type"),
             (lambda sidecar: [sidecar], "hude", "sidecar is not a JSON object"),

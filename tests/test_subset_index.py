@@ -25,6 +25,7 @@ from hude.subset_index import (
     sample_probes,
     theoretical_params,
 )
+from hude.tradeoff import upper_exponent
 
 
 def _masks(k, buckets):
@@ -276,6 +277,16 @@ class TestTheoreticalParams:
         assert choice.params.num_probes == 5  # ceil(C)
         assert choice.params.probe_size == 1
         assert choice.clamped
+
+    @pytest.mark.parametrize("rho_u", [0.0, 0.5])
+    @pytest.mark.parametrize("epsilon", [0.5, 1.999, 2.0])
+    def test_prediction_is_the_upper_exponent(self, rho_u, epsilon):
+        # With no extra space (rho_u = 0) the exponent is 1 at every
+        # separation, also at epsilon = 2, where the power term diverges.
+        choice = theoretical_params(rho_u, 50.0, 10_000, epsilon)
+        assert choice.predicted_rho_q == max(0.0, upper_exponent(50.0, rho_u, epsilon))
+        if rho_u == 0.0:
+            assert choice.predicted_rho_q == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

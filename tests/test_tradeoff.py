@@ -207,6 +207,15 @@ class TestQueryExponentBound:
         bound = query_exponent_lower_bound(reduction_w_q(30.0), 0.5, 0.5)
         assert 0.0 <= bound.rho_q <= 1.0
 
+    @pytest.mark.parametrize("s, rho_u", [(20.0, 0.5), (50.0, 0.0), (1000.0, 1.0)])
+    def test_infimum_is_minimize_objective_at_winning_alpha(self, s, rho_u):
+        # The alpha search reuses its main-pass solve and runs only the band
+        # pass at the winner; the result must be the standalone solve's.
+        w_q = reduction_w_q(s)
+        opts = SearchOptions(tu_points=201, tq_points=121)
+        result = query_exponent_lower_bound(w_q, 0.5, rho_u, opts=opts, alpha_points=41)
+        assert result.infimum == minimize_objective(w_q, 0.5, result.alpha, opts)
+
 
 class TestPinnedCurve:
     """numeric-lop values recorded before the solver's search was reworked.
@@ -314,6 +323,7 @@ class TestInfimumOracle:
         # while the true minimum lies outside it; the polish has to notice
         # and widen the window.
         from hude.tradeoff import (
+            _EXCLUDE_BAND,
             _golden_min,
             _grid_minimizer,
             _inner_tq,
@@ -325,8 +335,10 @@ class TestInfimumOracle:
 
         w_q, w_u, alpha = reduction_w_q(20.0), 0.5, 0.722491
         opts = SearchOptions()
-        coarse = _grid_minimizer(_tq_axis(w_q, w_u, opts), _tu_axis(w_q, w_u, opts), w_q, w_u)
-        value, _, t_u = _polish(w_q, w_u, alpha, *coarse(alpha), opts.exclude_band, (0.0, 1.0))
+        coarse = _grid_minimizer(
+            _tq_axis(w_q, opts.tq_points), _tu_axis(w_u, opts.tu_points), w_q, w_u
+        )
+        value, _, t_u = _polish(w_q, w_u, alpha, *coarse(alpha), _EXCLUDE_BAND, (0.0, 1.0))
 
         def outer(u):
             return _objective_scalar(_inner_tq(u, w_q, w_u, alpha), u, w_q, w_u, alpha)
