@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, fields
 
@@ -59,6 +60,10 @@ class ExperimentConfig:
             raise ValueError("all dimensions must be positive")
         if self.L_factor <= 1:
             raise ValueError(f"L_factor must exceed 1 (got {self.L_factor!r})")
+        for name in ("epsilon", "c_query"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive (got {value!r})")
 
     def resolved_point(self, value) -> tuple[int, int, int, int]:
         """(k, n, S, ell) for one sweep value, with the desk-scale factor applied to k."""

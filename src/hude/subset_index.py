@@ -7,6 +7,12 @@ the observed sample set, then unpacks and resolves the matching bucket,
 either by certifying candidates with random sample elements ("uj-certify")
 or by running elimination restricted to the bucket ("bucket-eliminate", the
 practical default).
+
+The scan tests probes ``_PROBE_BLOCK`` at a time against the sample set and
+stops in the block whose bucket resolves: a block without a contained probe
+is charged its whole test count, and on a contained probe the block is
+charged up to that probe before its bucket is resolved.  The charges equal
+those of testing probe elements one at a time, in order.
 """
 from __future__ import annotations
 
@@ -38,6 +44,8 @@ class IndexParams:
             raise ValueError("need at least one probe")
         if self.probe_size < 0:
             raise ValueError("probe size cannot be negative")
+        if not (math.isfinite(self.c_query) and self.c_query > 0):
+            raise ValueError(f"c_query must be finite and positive (got {self.c_query!r})")
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown query variant {self.variant!r}")
 
@@ -76,8 +84,8 @@ def sample_probes(seed: int, count: int, size: int, n: int) -> np.ndarray:
     return selected
 
 
-# Probes whose masks are built per step; bounds the gathered temporary to
-# _PROBE_BLOCK * ceil(k/8) bytes.
+# Probes whose masks are built per step, bounding the gathered temporary to
+# _PROBE_BLOCK * ceil(k/8) bytes; also the probes a query tests per step.
 _PROBE_BLOCK = 1024
 
 
@@ -106,7 +114,8 @@ class SubsetIndex:
 
     def bucket(self, i: int) -> np.ndarray:
         """Sorted int32 indices of the supports that contain probe i."""
-        bits = np.unpackbits(self.masks[i], count=self.dataset.k)
+        # Through a bool view: np.flatnonzero is about 10x faster on bool than on uint8.
+        bits = np.unpackbits(self.masks[i], count=self.dataset.k).view(bool)
         return np.flatnonzero(bits).astype(np.int32)
 
     @property
@@ -142,26 +151,6 @@ def preprocess(data: Dataset, params: IndexParams, seed: int) -> SubsetIndex:
     return SubsetIndex(probes, masks, params, data, seed)
 
 
-def _probe_scan_plan(index: SubsetIndex, query: QueryMultiset) -> tuple[np.ndarray, np.ndarray]:
-    """Hit mask and cumulative op cost of the in-order, short-circuit probe scan.
-
-    Probe elements are tested left to right and the scan of one probe stops
-    at its first element outside the sample set, so probe i costs
-    1 + [e1 in Q] + [e1 in Q][e2 in Q] + ... membership tests.
-    """
-    probes = index.probes
-    count, size = probes.shape
-    if size == 0:
-        return np.ones(count, dtype=bool), np.zeros(count, dtype=np.int64)
-    member = query.distinct.bits[probes]
-    tests = np.ones(count, dtype=np.int64)
-    running = member[:, 0].copy()
-    for r in range(1, size):
-        tests += running
-        running &= member[:, r]
-    return running, np.cumsum(tests)
-
-
 def _certify_candidate(
     data: Dataset,
     j: int,
@@ -192,37 +181,50 @@ def query(
 ) -> QueryResult:
     """Scan probes in order; resolve the first contained probe's bucket.
 
-    If a bucket fails to produce an answer the scan continues with the next
-    contained probe.  All probe-element and candidate-element tests are
-    charged to ``counter``.
+    If a bucket is empty or fails to produce an answer the scan continues
+    with the next contained probe, in the same block or a later one.  All
+    probe-element and candidate-element tests are charged to ``counter``;
+    ``epsilon`` (the certificate budget's separation) must be finite and
+    positive.
     """
     variant = variant or index.params.variant
     if variant not in _VARIANTS:
         raise ValueError(f"unknown query variant {variant!r}")
     if variant == VARIANT_UJ_CERTIFY and rng is None:
         raise ValueError("uj-certify needs an rng for candidate sampling")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive (got {epsilon!r})")
     data = index.dataset
-    hits, cumulative = _probe_scan_plan(index, q)
-    charged = 0
     cap = max(1, math.ceil(index.params.c_query * math.log(data.n) / epsilon))
     pool = q.distinct.indices
-    for i in np.flatnonzero(hits).tolist():
-        if cumulative.size:
-            counter.add(int(cumulative[i]) - charged)
-            charged = int(cumulative[i])
-        bucket = index.bucket(i)
-        if bucket.size == 0:
-            continue
-        if variant == VARIANT_BUCKET_ELIMINATE:
-            result = eliminate(data, bucket, q, counter)
-            if result.outcome == "found":
-                return QueryResult("found", result.index)
-        else:
-            for j in bucket.tolist():
-                if _certify_candidate(data, j, pool, cap, counter, rng):
-                    return QueryResult("found", j)
-    if cumulative.size:
-        counter.add(int(cumulative[-1]) - charged)
+    member = q.distinct.bits
+    probes = index.probes
+    for start in range(0, probes.shape[0], _PROBE_BLOCK):
+        # Probe elements are tested left to right and a probe's test stops at
+        # its first element outside the sample set, so probe i costs
+        # 1 + [e1 in Q] + [e1 in Q][e2 in Q] + ... membership tests.
+        block = member[probes[start : start + _PROBE_BLOCK]]
+        tests = np.zeros(block.shape[0], dtype=np.int64)
+        hits = np.ones(block.shape[0], dtype=bool)
+        for column in block.T:
+            tests += hits
+            hits &= column
+        charged = 0
+        for i in np.flatnonzero(hits).tolist():
+            counter.add(int(tests[charged : i + 1].sum()))
+            charged = i + 1
+            bucket = index.bucket(start + i)
+            if bucket.size == 0:
+                continue
+            if variant == VARIANT_BUCKET_ELIMINATE:
+                result = eliminate(data, bucket, q, counter)
+                if result.outcome == "found":
+                    return QueryResult("found", result.index)
+            else:
+                for j in bucket.tolist():
+                    if _certify_candidate(data, j, pool, cap, counter, rng):
+                        return QueryResult("found", j)
+        counter.add(int(tests[charged:].sum()))
     return QueryResult("not_found")
 
 

@@ -25,14 +25,18 @@ from hude.bench import (
 from hude.distributions import Dataset, OpCounter, QueryMultiset, contains
 from hude.elimination import eliminate
 from hude.rng import substream
-from hude.subset_index import IndexParams, preprocess, query
+from hude.subset_index import IndexParams, SubsetIndex, preprocess, query
+from test_subset_index import _masks
 
 
 def _reference_eliminate(data, candidates, sample, counter):
-    """Literal sample-by-sample elimination over unmetered Python loops."""
+    """Literal sample-by-sample elimination over unmetered Python loops.
+
+    Returns (outcome, index, survivors), the fields of ``EliminationResult``.
+    """
     alive = list(candidates)
     if len(alive) == 1:
-        return "found", alive[0]
+        return "found", alive[0], ()
     for element in sample.order.tolist():
         survivors = []
         for j in alive:
@@ -40,10 +44,10 @@ def _reference_eliminate(data, candidates, sample, counter):
                 survivors.append(j)
         alive = survivors
         if len(alive) == 1:
-            return "found", alive[0]
+            return "found", alive[0], ()
         if not alive:
-            return "exhausted", None
-    return "ambiguous", None
+            return "exhausted", None, ()
+    return "ambiguous", None, tuple(sorted(alive))
 
 
 def _reference_certify(data, j, pool, cap, counter, rng):
@@ -72,7 +76,7 @@ def _reference_subset_query(index, sample, counter, epsilon=1.0, rng=None,
                 if _reference_certify(index.dataset, j, distinct.indices, cap, counter, rng):
                     return "found", j
             continue
-        outcome, found = _reference_eliminate(
+        outcome, found, _ = _reference_eliminate(
             index.dataset, index.bucket(i).tolist(), sample, counter
         )
         if outcome == "found":
@@ -87,7 +91,7 @@ class TestReferenceOpCounts:
             theirs = OpCounter()
             result = eliminate(data, np.arange(data.k), sample, theirs)
             ours = OpCounter()
-            outcome, found = _reference_eliminate(data, range(data.k), sample, ours)
+            outcome, found, _ = _reference_eliminate(data, range(data.k), sample, ours)
             assert (result.outcome, result.index) == (outcome, found if outcome == "found" else result.index)
             assert theirs.membership_ops == ours.membership_ops
 
@@ -136,7 +140,7 @@ class TestReferenceOpCounts:
                 theirs, ours = OpCounter(), OpCounter()
                 result = eliminate(data, candidates, sample, theirs)
                 expected = _reference_eliminate(data, candidates.tolist(), sample, ours)
-                assert (result.outcome, result.index) == expected
+                assert (result.outcome, result.index, result.survivors) == expected
                 assert theirs.membership_ops == ours.membership_ops
             for variant in ("bucket-eliminate", "uj-certify"):
                 theirs, ours = OpCounter(), OpCounter()
@@ -147,6 +151,155 @@ class TestReferenceOpCounts:
                 )
                 assert (result.outcome, result.index) == expected
                 assert theirs.membership_ops == ours.membership_ops
+
+
+# Probe-scan fixtures: the sample set is {0, 1, 2, 3} of an 8-element domain.
+# Support 0 holds it (the truth); 1 and 2 miss element 3; 3 misses it all.
+_SCAN_SUPPORTS = [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5], [4, 5, 6, 7]]
+_SCAN_SAMPLE = [0, 1, 2, 3, 3, 2]
+_MISSES = [[0, 4], [4, 5], [1, 6]]  # cost 2, 1 and 2 tests
+
+
+def _scan_index(L, hits, ell=2, variant="bucket-eliminate"):
+    """Hand-made index of L probes; ``hits`` maps a probe to its bucket.
+
+    Every other probe misses the sample set and gets a bucket of its own
+    (never resolved) so that a scan which resolves a miss is caught.
+    """
+    probes, buckets = [], []
+    for i in range(L):
+        if i in hits:
+            probes.append([2, 0, 1][:ell])
+            buckets.append(hits[i])
+        else:
+            probes.append(_MISSES[i % 3][:ell])
+            buckets.append([3])
+    data = Dataset.from_supports(8, _SCAN_SUPPORTS)
+    probes = np.asarray(probes, dtype=np.int64).reshape(L, ell)
+    return SubsetIndex(probes, _masks(4, buckets), IndexParams(L, ell, variant=variant), data, 0)
+
+
+def _assert_scan_matches_reference(index, variant="bucket-eliminate"):
+    sample = QueryMultiset(8, np.asarray(_SCAN_SAMPLE))
+    theirs, ours = OpCounter(), OpCounter()
+    result = query(index, sample, 1.0, theirs, rng=substream(4, "certify"), variant=variant)
+    expected = _reference_subset_query(index, sample, ours, 1.0, substream(4, "certify"), variant)
+    assert (result.outcome, result.index) == expected
+    assert theirs.membership_ops == ours.membership_ops
+    return result, theirs.membership_ops
+
+
+class TestProbeScanBlocks:
+    """The scan works 1,024 probes at a time; charges must not see the seams."""
+
+    @pytest.mark.parametrize("first", [0, 1023, 1024, 1025, 2047, 2048])
+    def test_first_contained_probe_at_block_edges(self, first):
+        index = _scan_index(first + 600, {first: [0, 1, 2], first + 1: [3]})
+        result, ops = _assert_scan_matches_reference(index)
+        assert (result.outcome, result.index) == ("found", 0)
+        # Misses before `first` cost 2, 1, 2, ... tests; the hit costs 2; the
+        # bucket {0, 1, 2} is settled by the fourth sample, 3 * 3 + 3 ops.
+        misses = sum(2 if i % 3 != 1 else 1 for i in range(first))
+        assert ops == misses + 2 + 12
+
+    def test_empty_and_failed_buckets_move_the_scan_to_a_later_block(self):
+        # Block 0 holds an empty bucket and one that elimination exhausts;
+        # the resolving hit is in block 1.
+        index = _scan_index(2500, {300: [], 1000: [1, 2], 1030: [0, 3]})
+        result, _ = _assert_scan_matches_reference(index)
+        assert (result.outcome, result.index) == ("found", 0)
+
+    def test_failed_bucket_in_a_later_block_falls_through_to_not_found(self):
+        index = _scan_index(2500, {1023: [], 2100: [1, 2]})
+        result, _ = _assert_scan_matches_reference(index)
+        assert result.outcome == "not_found"
+
+    def test_no_contained_probe_charges_every_block(self):
+        index = _scan_index(2500, {})
+        result, ops = _assert_scan_matches_reference(index)
+        assert result.outcome == "not_found"
+        assert ops == sum(2 if i % 3 != 1 else 1 for i in range(2500))
+
+    def test_empty_probes_are_free_and_all_contained(self):
+        # Every probe is contained; the first 1,500 buckets are empty.
+        index = _scan_index(2500, {i: [] for i in range(1500)} | {1500: [1, 0]}, ell=0)
+        result, ops = _assert_scan_matches_reference(index)
+        assert (result.outcome, result.index) == ("found", 0)
+        assert ops == 2 + 2 + 2 + 2  # elimination of {0, 1} only
+
+    def test_certify_variant_across_a_block_boundary(self):
+        # Candidates 1 and 2 fail their certificates in block 0; the truth
+        # certifies from a bucket in block 1.
+        index = _scan_index(2100, {1000: [1, 2], 1023: [], 1500: [3, 0]},
+                            variant="uj-certify")
+        result, _ = _assert_scan_matches_reference(index, variant="uj-certify")
+        assert (result.outcome, result.index) == ("found", 0)
+
+
+def _stream_dataset():
+    """Four supports over 16 elements that all hold element 0; only support 2
+    holds element 1; none holds element 15."""
+    return Dataset.from_supports(16, [[0, 2], [0, 3], [0, 1, 4], [0, 5]])
+
+
+class TestEliminationBlocks:
+    """Elimination ANDs a block of samples at once; results must not see the seams."""
+
+    @pytest.mark.parametrize("stop", range(1, 24))
+    @pytest.mark.parametrize("last", [1, 15], ids=["found", "exhausted"])
+    def test_stop_at_every_row_of_the_first_blocks(self, stop, last):
+        # Four candidates: every sample of element 0 keeps all four (a
+        # repeated element), so the stop falls at sample `stop`, on the
+        # first, a middle or the last row of the first, second or third
+        # block of samples.
+        data = _stream_dataset()
+        sample = QueryMultiset(16, np.asarray([0] * (stop - 1) + [last, 0]))
+        theirs, ours = OpCounter(), OpCounter()
+        result = eliminate(data, np.arange(4), sample, theirs)
+        expected = _reference_eliminate(data, range(4), sample, ours)
+        assert (result.outcome, result.index, result.survivors) == expected
+        assert theirs.membership_ops == ours.membership_ops == 4 * stop
+        assert (result.outcome, result.index) == (("found", 2) if last == 1 else ("exhausted", None))
+
+    @pytest.mark.parametrize("length", [0, 1, 5, 30])
+    def test_stream_that_never_decides_is_ambiguous(self, length):
+        data = _stream_dataset()
+        sample = QueryMultiset(16, np.zeros(length, dtype=np.int64))
+        theirs, ours = OpCounter(), OpCounter()
+        result = eliminate(data, np.asarray([3, 1, 2]), sample, theirs)
+        expected = _reference_eliminate(data, [3, 1, 2], sample, ours)
+        assert (result.outcome, result.index, result.survivors) == expected
+        assert result.survivors == (1, 2, 3)
+        assert theirs.membership_ops == ours.membership_ops == 3 * length
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 8, 63, 64, 65, 130])
+    def test_padding_bytes_and_words(self, k):
+        # Bit k - 1 sits in the last byte and, for k not a multiple of 64,
+        # in a word with padding; the found index is read from its byte.
+        rng = np.random.default_rng(k)
+        matrix = rng.random((k, 12)) < 0.5
+        matrix[:, 0] = True
+        data = Dataset(matrix)
+        candidate_sets = [np.arange(k), np.arange(k)[::-1][: max(1, k // 3)],
+                          np.asarray([k - 1]), np.asarray([0, k - 1])[: min(k, 2)]]
+        streams = [data.distribution(t).sample(9, rng) for t in sorted({0, k // 2, k - 1})]
+        streams.append(QueryMultiset(12, np.zeros(6, dtype=np.int64)))
+        for sample in streams:
+            for candidates in candidate_sets:
+                theirs, ours = OpCounter(), OpCounter()
+                result = eliminate(data, candidates, sample, theirs)
+                expected = _reference_eliminate(data, candidates.tolist(), sample, ours)
+                assert (result.outcome, result.index, result.survivors) == expected
+                assert theirs.membership_ops == ours.membership_ops
+
+    @pytest.mark.parametrize("k", [1, 7, 8, 63, 64, 65, 130])
+    def test_last_index_found_across_the_padding(self, k):
+        matrix = np.zeros((k, 4), dtype=bool)
+        matrix[:, 0] = True
+        matrix[k - 1, 1] = True
+        result = eliminate(Dataset(matrix), np.arange(k), QueryMultiset(4, np.asarray([0, 1])),
+                           OpCounter())
+        assert (result.outcome, result.index) == ("found", k - 1)
 
 
 class TestAdaptiveSearch:
@@ -267,6 +420,15 @@ class TestRunSweep:
         # A factor of 1 (or an initial count of 0) never grows the probe
         # count, so the adaptive search would never stop.
         with pytest.raises(ValueError, match=message):
+            ExperimentConfig(sweep_param="k", sweep_values=(10,), **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epsilon", 0.0), ("epsilon", -1.0), ("epsilon", math.nan), ("epsilon", math.inf),
+         ("c_query", 0.0), ("c_query", -5.0), ("c_query", math.inf)],
+    )
+    def test_certificate_parameters_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
             ExperimentConfig(sweep_param="k", sweep_values=(10,), **{field: value})
 
 

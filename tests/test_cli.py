@@ -146,6 +146,28 @@ class TestQuery:
         assert "Traceback" not in done.stderr
         assert done.stdout == ""
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--eps", "0"], "epsilon must be finite and positive (got 0.0)"),
+            (["--eps", "-1"], "epsilon must be finite and positive (got -1.0)"),
+            (["--c-query", "-5", "--variant", "uj-certify"],
+             "c_query must be finite and positive (got -5.0)"),
+            (["--c-query", "nan"], "c_query must be finite and positive (got nan)"),
+            (["--rho-u", "0.5", "--c-query", "-5"], "c_query must be finite and positive"),
+            (["--rho-u", "0.5", "--eps", "0"], "separation must be in (0, 2]"),
+        ],
+    )
+    def test_bad_certificate_parameter_is_a_clean_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "inst"
+        main(_gen_args(out))
+        probes = [] if "--rho-u" in flags else ["--ell", "1", "--num-probes", "50"]
+        rc = main(["query", "--instance", str(out), "--algorithm", "subset", *probes, *flags])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
 
 class TestBench:
     def test_sweep_to_csv(self, tmp_path):
@@ -187,6 +209,12 @@ class TestBench:
         [
             ([1, 2], "config must be a JSON object, not list"),
             ({"sweep_param": "k", "sweep_values": [100], "k": "abc"}, "config key 'k'"),
+            ({"sweep_param": "k", "sweep_values": [100], "epsilon": 0},
+             "epsilon must be finite and positive (got 0)"),
+            ({"sweep_param": "k", "sweep_values": [100], "epsilon": float("nan")},
+             "epsilon must be finite and positive (got nan)"),
+            ({"sweep_param": "k", "sweep_values": [100], "c_query": -5},
+             "c_query must be finite and positive (got -5)"),
         ],
     )
     def test_malformed_config_is_a_clean_error(self, tmp_path, capsys, payload, message):

@@ -152,6 +152,20 @@ class TestQuery:
         with pytest.raises(ValueError):
             query(index, _query_from(8, [0, 1]), 1.0, OpCounter())
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("variant", ["uj-certify", "bucket-eliminate"])
+    def test_certificate_separation_must_be_finite_and_positive(self, epsilon, variant):
+        index = self._toy_index(variant)
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            query(index, _query_from(8, [0, 1]), epsilon, OpCounter(), rng=substream(1, "q"))
+
+    @pytest.mark.parametrize("c_query", [0.0, -5.0, math.nan, math.inf])
+    def test_certificate_constant_must_be_finite_and_positive(self, c_query):
+        with pytest.raises(ValueError, match="c_query must be finite and positive"):
+            IndexParams(1, 2, c_query=c_query)
+        with pytest.raises(ValueError, match="c_query must be finite and positive"):
+            theoretical_params(0.5, 50.0, 100, 1.0, c_query=c_query)
+
     def test_failed_bucket_continues_to_next_probe(self):
         # Probe 0 hits but its bucket holds two wrong candidates that the
         # stream exhausts; the scan must move on to probe 1, whose bucket
