@@ -5,12 +5,11 @@ Reproduces the identification experiments: random half-uniform datasets,
 distribution), the elimination baseline over the full dataset, and the
 probe-subset index with its probe count grown geometrically from a modest
 start until it answers every query correctly.  Wall time is measured around
-the query call only; preprocessing is never billed.
+the query call only; preprocessing is never billed.  Sweep rows are
+:class:`ResultRow` records, written as CSV by :func:`hude.distributions.write_rows`.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 import time
 from dataclasses import dataclass, fields
@@ -58,9 +57,9 @@ class ExperimentConfig:
             raise ValueError("sweep needs at least one value")
         if min(self.k, self.n, self.S, self.ell, self.queries_per_point, self.L_init) <= 0:
             raise ValueError("all dimensions must be positive")
-        if self.L_factor <= 1:
-            raise ValueError(f"L_factor must exceed 1 (got {self.L_factor!r})")
-        for name in ("epsilon", "c_query"):
+        if not (math.isfinite(self.L_factor) and self.L_factor > 1):
+            raise ValueError(f"L_factor must exceed 1 (got {self.L_factor!r}) and be finite")
+        for name in ("epsilon", "c_query", "scale"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive (got {value!r})")
@@ -236,67 +235,4 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
             err.point = dict(err.point, sweep_param=config.sweep_param, sweep_value=value)
             raise
         rows.append(ResultRow("subset", k, n, S, ell, L, s_acc, s_ops, s_ns, config.seed))
-    return rows
-
-
-RESULT_FIELDS = (
-    "algorithm",
-    "k",
-    "n",
-    "S",
-    "ell",
-    "L",
-    "accuracy",
-    "mean_ops",
-    "mean_time_ns",
-    "seed",
-)
-
-
-def write_results_csv(rows: list[ResultRow], path, metadata: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if metadata:
-            fh.write("# " + json.dumps(metadata, sort_keys=True, separators=(",", ":")) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULT_FIELDS)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.algorithm,
-                    r.k,
-                    r.n,
-                    r.S,
-                    r.ell,
-                    "" if r.L is None else r.L,
-                    repr(r.accuracy),
-                    repr(r.mean_ops),
-                    repr(r.mean_time_ns),
-                    r.seed,
-                ]
-            )
-
-
-def read_results_csv(path) -> list[ResultRow]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh if not line.startswith("#")]
-    reader = csv.reader(lines)
-    header = next(reader)
-    if tuple(header) != RESULT_FIELDS:
-        raise ValueError("unexpected results CSV header")
-    for rec in reader:
-        rows.append(
-            ResultRow(
-                rec[0],
-                int(rec[1]),
-                int(rec[2]),
-                int(rec[3]),
-                int(rec[4]),
-                None if rec[5] == "" else int(rec[5]),
-                float(rec[6]),
-                float(rec[7]),
-                float(rec[8]),
-                int(rec[9]),
-            )
-        )
     return rows

@@ -16,18 +16,13 @@ import time
 import numpy as np
 
 from . import __version__
-from .bench import AdaptiveSearchError, ExperimentConfig, run_sweep, write_results_csv
-from .distributions import OpCounter
+from .bench import AdaptiveSearchError, ExperimentConfig, run_sweep
+from .distributions import OpCounter, write_rows
 from .elimination import eliminate
 from .instances import FAMILIES, GapssInstance, load_instance, save_instance
 from .rng import stream_key, substream
 from .subset_index import IndexParams, dump_index, preprocess, query, theoretical_params
-from .tradeoff import (
-    DEFAULT_CURVES,
-    SearchOptions,
-    tradeoff_rows,
-    write_tradeoff_csv,
-)
+from .tradeoff import DEFAULT_CURVES, SearchOptions, tradeoff_rows
 from .verify import SUITES, run_suite
 
 
@@ -153,12 +148,6 @@ def _cmd_query(args) -> int:
             instance.dataset, np.arange(instance.dataset.k), instance.query, counter
         )
         elapsed = time.perf_counter_ns() - start
-        payload = {
-            "outcome": result.outcome,
-            "index": result.index,
-            "ops": counter.membership_ops,
-            "wall_time_ns": elapsed,
-        }
     else:
         if args.rho_u is not None:
             choice = theoretical_params(
@@ -185,13 +174,13 @@ def _cmd_query(args) -> int:
         start = time.perf_counter_ns()
         result = query(index, instance.query, epsilon, counter, rng=rng)
         elapsed = time.perf_counter_ns() - start
-        payload = {
-            "outcome": result.outcome,
-            "index": result.index,
-            "ops": counter.membership_ops,
-            "wall_time_ns": elapsed,
-        }
-    payload["truth_index"] = instance.truth_index
+    payload = {
+        "outcome": result.outcome,
+        "index": result.index,
+        "ops": counter.membership_ops,
+        "wall_time_ns": elapsed,
+        "truth_index": instance.truth_index,
+    }
     print(json.dumps(payload, sort_keys=True))
     return 0
 
@@ -222,7 +211,7 @@ def _cmd_bench(args) -> int:
         _log(f"accuracy trace: {err.trace}")
         return 1
     metadata = {"config": {**payload, **overrides}, "version": __version__}
-    write_results_csv(rows, args.out, metadata)
+    write_rows(rows, args.out, metadata)
     _log(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -247,7 +236,7 @@ def _cmd_tradeoff(args) -> int:
         "curves": list(curves),
         "version": __version__,
     }
-    write_tradeoff_csv(rows, args.out, metadata)
+    write_rows(rows, args.out, metadata)
     _log(f"wrote {len(rows)} curve points to {args.out}")
     return 0
 

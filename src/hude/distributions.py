@@ -7,8 +7,10 @@ unmetered accessors, since setup work is never billed to a query.
 """
 from __future__ import annotations
 
+import csv
 import json
-from typing import Iterable, Iterator
+from dataclasses import fields
+from typing import Iterable
 
 import numpy as np
 
@@ -240,9 +242,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.k
 
-    def __iter__(self) -> Iterator[SupportSet]:
-        return (self.support(j) for j in range(self.k))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
@@ -297,10 +296,15 @@ def random_bernoulli_supports(k: int, n: int, w: float, rng: np.random.Generator
 # ---------------------------------------------------------------------------
 
 
+def _metadata_line(metadata: dict) -> str:
+    """The '# {json}' line heading an output file: sorted keys, compact, finite numbers."""
+    return "# " + json.dumps(metadata, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def dumps_dataset(dataset: Dataset, metadata: dict | None = None) -> str:
     lines = []
     if metadata:
-        lines.append("# " + json.dumps(metadata, sort_keys=True, separators=(",", ":")))
+        lines.append(_metadata_line(metadata))
     lines.append(f"{dataset.n} {dataset.k}")
     for j in range(dataset.k):
         lines.append(" ".join(str(e) for e in dataset.support(j).indices.tolist()))
@@ -370,3 +374,58 @@ def save_dataset(dataset: Dataset, path, metadata: dict | None = None) -> None:
 def load_dataset(path) -> tuple[Dataset, dict]:
     with open(path, "r", encoding="utf-8") as fh:
         return loads_dataset(fh.read())
+
+
+# ---------------------------------------------------------------------------
+# Results CSVs: a '# ...' metadata line, the row dataclass's field names, then
+# one line per row.  A cell is empty for None and str() of anything else.
+# ---------------------------------------------------------------------------
+
+
+def write_rows(rows: list, path, metadata: dict | None = None) -> None:
+    """Write dataclass rows of one type as CSV, headed by their field names."""
+    if not rows:
+        raise ValueError("no rows to write")
+    names = [f.name for f in fields(rows[0])]
+    head = _metadata_line(metadata) + "\n" if metadata else ""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(head)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows([getattr(row, name) for name in names] for row in rows)
+
+
+# Field annotation (a string, under postponed evaluation) -> cell parser.
+_PARSERS = {"str": str, "int": int, "float": float, "int | None": lambda t: int(t) if t else None}
+
+
+def read_rows(path, row_type) -> list:
+    """Parse :func:`write_rows` output into ``row_type`` instances, skipping '#' lines.
+
+    A header other than the field names, a row of the wrong width, a cell that
+    does not parse as its field's annotation, and a file with no rows each
+    raise ``ValueError`` naming the 1-based line.
+    """
+    columns = fields(row_type)
+    names = [f.name for f in columns]
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        kept = [(number, line) for number, line in enumerate(fh, 1) if not line.startswith("#")]
+    reader = csv.reader(line for _, line in kept)
+    if next(reader, None) != names:
+        where = kept[0][0] if kept else 1
+        raise ValueError(f"line {where}: expected the header {','.join(names)!r}")
+    rows = []
+    for record in reader:
+        where = f"line {kept[reader.line_num - 1][0]}"
+        if len(record) != len(names):
+            raise ValueError(f"{where}: {len(record)} cells, expected {len(names)}")
+        cells = []
+        for text, field in zip(record, columns):
+            try:
+                cells.append(_PARSERS[field.type](text))
+            except ValueError:
+                raise ValueError(f"{where}: {field.name} {text!r} is not {field.type}") from None
+        rows.append(row_type(*cells))
+    if not rows:
+        raise ValueError(f"line {kept[-1][0]}: no rows after the header")
+    return rows

@@ -109,8 +109,8 @@ def _poisson_knuth(lam: float, rng: np.random.Generator) -> int:
 
 def poisson(lam: float, rng: np.random.Generator) -> int:
     """Exact Poisson draw via Knuth's product method (chunked for large rates)."""
-    if lam <= 0:
-        raise ValueError("rate must be positive")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"rate must be finite and positive (got {lam!r})")
     total = 0
     while lam > _KNUTH_CHUNK:
         total += _poisson_knuth(_KNUTH_CHUNK, rng)
@@ -120,8 +120,8 @@ def poisson(lam: float, rng: np.random.Generator) -> int:
 
 def poisson_plus(lam: float, rng: np.random.Generator) -> int:
     """Zero-truncated Poisson: rejection for moderate rates, inverse CDF below."""
-    if lam <= 0:
-        raise ValueError("rate must be positive")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"rate must be finite and positive (got {lam!r})")
     if lam >= 0.01:
         while True:
             value = poisson(lam, rng)
@@ -165,8 +165,8 @@ def gen_hude(
         raise ValueError("need at least one distribution")
     if not 0 < epsilon <= 2:
         raise ValueError("separation must be in (0, 2]")
-    if s <= 0 or n / s < 1:
-        raise ValueError("need n/s >= 1 query samples")
+    if not (math.isfinite(s) and s > 0 and n / s >= 1):
+        raise ValueError(f"s must be finite and positive with n/s >= 1 query samples (got {s!r})")
 
     m_query = int(n // s)
     half = n // 2
@@ -199,8 +199,8 @@ def gen_urde(n: int, k: int, w_u: float, s: float, seed: int) -> UrdeInstance:
         raise ValueError("domain size and dataset size must be positive")
     if not 0 < w_u <= 1:
         raise ValueError("inclusion probability must be in (0, 1]")
-    if s <= 0:
-        raise ValueError("sample-ratio parameter must be positive")
+    if not (math.isfinite(s) and s > 0):
+        raise ValueError(f"s must be finite and positive (got {s!r})")
 
     matrix = random_bernoulli_supports(k, n, w_u, substream(seed, "urde-dataset"))
     truth = int(substream(seed, "urde-truth").integers(0, k))

@@ -260,6 +260,8 @@ def theoretical_params(
     predicted = max(0.0, upper_exponent(s, rho_u, epsilon))  # validates s, rho_u, epsilon
     if k < 2:
         raise ValueError("need at least two distributions")
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"c must be finite and positive (got {c!r})")
     base = 2.0 / -math.expm1(-2.0 / s)
     ell_exact = rho_u * math.log(k) / math.log(base)
     clamped = ell_exact < 1.0

@@ -3,7 +3,8 @@
 KL divergences over the forced two-by-two coupling, the constrained ratio
 objective whose infimum lower-bounds any list-of-points data structure, a
 grid-plus-polish minimizer for that objective, the closed-form lower and
-upper curves, and CSV emission of all of them on a common sample-ratio axis.
+upper curves, and :class:`TradeoffPoint` rows of all of them on a common
+sample-ratio axis (written as CSV by :func:`hude.distributions.write_rows`).
 
 Conventions: natural logarithms throughout, 0*log(0) = 0, and +inf sentinels
 for divergences of non-absolutely-continuous pairs (they propagate through
@@ -38,10 +39,6 @@ __all__ = [
     "upper_exponent",
     "TradeoffPoint",
     "tradeoff_rows",
-    "format_tradeoff_csv",
-    "parse_tradeoff_csv",
-    "write_tradeoff_csv",
-    "read_tradeoff_csv",
 ]
 
 
@@ -459,6 +456,11 @@ def minimize_objective(
 # ---------------------------------------------------------------------------
 
 
+def _check_rho_u(rho_u: float) -> None:
+    if not (math.isfinite(rho_u) and rho_u >= 0):
+        raise ValueError(f"space exponent rho_u must be finite and nonnegative (got {rho_u!r})")
+
+
 @dataclass(frozen=True)
 class LowerBoundResult:
     rho_q: float
@@ -485,8 +487,7 @@ def query_exponent_lower_bound(
     band pass runs once, at the winning alpha.  The result is clamped to
     [0, 1].
     """
-    if rho_u < 0:
-        raise ValueError("space exponent must be nonnegative")
+    _check_rho_u(rho_u)
     if not 0.0 < w_q < w_u < 1.0:
         raise ValueError("parameters must satisfy 0 < w_q < w_u < 1")
     if alpha_points < 2:
@@ -544,6 +545,7 @@ def gapss_explicit_bound(w_q: float, rho_u: float) -> float:
     """
     if not 0.0 < w_q < 1.0 / math.e:
         raise ValueError("query density must lie in (0, 1/e)")
+    _check_rho_u(rho_u)
     return 1.0 - w_q ** (1.0 - LOG2) + rho_u / (1.0 + math.log(w_q))
 
 
@@ -552,8 +554,9 @@ def analytic_lower_bound(s: float, rho_u: float) -> float:
 
     1 - s^{-(1 - log 2)} - rho_u / (log s - 1), vanishing-order terms dropped.
     """
-    if s <= math.e:
-        raise ValueError("sample-ratio parameter must exceed e")
+    if not (math.isfinite(s) and s > math.e):
+        raise ValueError(f"sample-ratio parameter must be finite and exceed e (got {s!r})")
+    _check_rho_u(rho_u)
     return 1.0 - s ** -(1.0 - LOG2) - rho_u / (math.log(s) - 1.0)
 
 
@@ -570,12 +573,11 @@ def upper_exponent(s: float, rho_u: float, epsilon: float, simplified: bool = Fa
     1 - eps*rho_u / (2 log(2s)).  At eps = 2 the exact power term diverges
     to -inf and the exponent is clamped at 0.
     """
-    if s < 2:
-        raise ValueError("sample-ratio parameter must be at least 2")
+    if not (math.isfinite(s) and s >= 2):
+        raise ValueError(f"sample-ratio parameter must be finite and at least 2 (got {s!r})")
     if not 0 < epsilon <= 2:
-        raise ValueError("separation must be in (0, 2]")
-    if rho_u < 0:
-        raise ValueError("space exponent must be nonnegative")
+        raise ValueError(f"separation must be in (0, 2] (got {epsilon!r})")
+    _check_rho_u(rho_u)
     if simplified:
         return 1.0 - epsilon * rho_u / (2.0 * math.log(2.0 * s))
     if epsilon == 2.0:
@@ -642,11 +644,16 @@ def tradeoff_rows(
     unknown = set(curves) - set(CURVES)
     if unknown:
         raise ValueError(f"unknown curves: {sorted(unknown)}")
-    if "prior-general" in curves and prior_constant is None:
-        raise ValueError("prior-general curve needs an explicit prior_constant")
+    const = prior_constant
+    if "prior-general" in curves and not (const is not None and math.isfinite(const) and const > 0):
+        raise ValueError(f"prior-general needs a finite prior_constant > 0 (got {const!r})")
+    if not (0.0 < w_u <= 1.0 and 0.0 < epsilon <= 2.0):
+        raise ValueError(f"need 0 < w_u <= 1 and 0 < epsilon <= 2 (got {w_u!r}, {epsilon!r})")
     rows: list[TradeoffPoint] = []
     for s in s_values:
         s = float(s)
+        if not (math.isfinite(s) and s > 0):
+            raise ValueError(f"sample ratio s must be finite and positive (got {s!r})")
         w_q = reduction_w_q(s, w_u)
         for curve in curves:
             flags: list[str] = []
@@ -678,47 +685,3 @@ def tradeoff_rows(
                 TradeoffPoint(curve, s, 1.0 / s, w_q, rho_u, rho_q, ";".join(flags))
             )
     return rows
-
-
-CSV_HEADER = "curve,s,inv_s,w_q,rho_u,rho_q,flags"
-
-
-def format_tradeoff_csv(rows: list[TradeoffPoint]) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.curve},{r.s!r},{r.inv_s!r},{r.w_q!r},{r.rho_u!r},{r.rho_q!r},{r.flags}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def parse_tradeoff_csv(text: str) -> list[TradeoffPoint]:
-    lines = [line for line in text.split("\n") if line]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("missing or malformed trade-off CSV header")
-    rows = []
-    for line in lines[1:]:
-        curve, s, inv_s, w_q, rho_u, rho_q, flags = line.split(",")
-        rows.append(
-            TradeoffPoint(
-                curve, float(s), float(inv_s), float(w_q), float(rho_u), float(rho_q), flags
-            )
-        )
-    return rows
-
-
-def write_tradeoff_csv(rows: list[TradeoffPoint], path, metadata: dict | None = None) -> None:
-    # Metadata rides in a '#' comment line so the column schema stays fixed.
-    import json
-
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if metadata:
-            fh.write("# " + json.dumps(metadata, sort_keys=True, separators=(",", ":")) + "\n")
-        fh.write(format_tradeoff_csv(rows))
-
-
-def read_tradeoff_csv(path) -> list[TradeoffPoint]:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = [line for line in text.split("\n") if not line.startswith("#")]
-    return parse_tradeoff_csv("\n".join(lines))

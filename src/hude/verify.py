@@ -233,7 +233,7 @@ def _check_kl_nonnegative() -> str | None:
     return None
 
 
-def _check_refinement_stable() -> str | None:
+def _check_densification_stable() -> str | None:
     w_q = tradeoff.reduction_w_q(100.0, 0.5)
     alpha = 1.0 + 1.0 / math.log(w_q)
     a = tradeoff.minimize_objective(w_q, 0.5, alpha)
@@ -291,7 +291,7 @@ SUITES = {
         "entropy-bounds": _check_entropy_bounds,
         "objective-two-codings": _check_objective_codings,
         "kl-nonnegative": _check_kl_nonnegative,
-        "refinement-stable": _check_refinement_stable,
+        "densification-stable": _check_densification_stable,
         "upper-bound-direction": _check_upper_direction,
     },
     "bench": {

@@ -15,14 +15,13 @@ from hypothesis import strategies as st
 from hude.bench import (
     AdaptiveSearchError,
     ExperimentConfig,
+    ResultRow,
     adaptive_L_search,
     generate_point,
-    read_results_csv,
     run_elimination,
     run_sweep,
-    write_results_csv,
 )
-from hude.distributions import Dataset, OpCounter, QueryMultiset, contains
+from hude.distributions import Dataset, OpCounter, QueryMultiset, contains, read_rows, write_rows
 from hude.elimination import eliminate
 from hude.rng import substream
 from hude.subset_index import IndexParams, SubsetIndex, preprocess, query
@@ -370,8 +369,8 @@ class TestRunSweep:
         )
         rows = run_sweep(config)
         path = tmp_path / "rows.csv"
-        write_results_csv(rows, path, {"config": "toy"})
-        back = read_results_csv(path)
+        write_rows(rows, path, {"config": "toy"})
+        back = read_rows(path, ResultRow)
         assert back == rows
 
     def test_config_validation(self):

@@ -1,16 +1,19 @@
 """CLI surface: subcommand plumbing, file outputs, exit codes."""
 
 import json
+import math
 import os
+import signal
 import subprocess
 import sys
 
 import pytest
 
-from hude.bench import read_results_csv
+from hude.bench import ResultRow
 from hude.cli import main
+from hude.distributions import read_rows
 from hude.instances import load_instance
-from hude.tradeoff import read_tradeoff_csv
+from hude.tradeoff import TradeoffPoint
 
 
 def _gen_args(out, problem="hude", seed="3"):
@@ -177,7 +180,7 @@ class TestBench:
             "--queries", "8", "--out", str(out),
         ])
         assert rc == 0
-        rows = read_results_csv(out)
+        rows = read_rows(out, ResultRow)
         assert len(rows) == 4
         assert {r.algorithm for r in rows} == {"subset", "elimination"}
 
@@ -190,7 +193,7 @@ class TestBench:
         out = tmp_path / "rows.csv"
         rc = main(["bench", "--config", str(config), "--seed", "2", "--out", str(out)])
         assert rc == 0
-        rows = read_results_csv(out)
+        rows = read_rows(out, ResultRow)
         assert all(r.seed == 2 for r in rows)
 
     def test_cap_abort_exits_nonzero(self, tmp_path):
@@ -258,7 +261,7 @@ class TestTradeoff:
             "--out", str(out),
         ])
         assert rc == 0
-        rows = read_tradeoff_csv(out)
+        rows = read_rows(out, TradeoffPoint)
         assert len(rows) == 12  # 3 grid points x 4 default curves
         assert all(0.0 <= r.rho_q <= 1.0 for r in rows)
 
@@ -313,3 +316,133 @@ class TestVerifyAndUsage:
             main(["--version"])
         assert err.value.code == 0
         assert "hude" in capsys.readouterr().out
+
+
+def _main_within(argv, seconds=30):
+    """``main(argv)``'s exit code, or TimeoutError if it runs past ``seconds``
+    (a NaN rate once sent Poisson sampling into an endless loop)."""
+
+    def hung(signum, frame):
+        raise TimeoutError(f"hude {' '.join(argv)} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        return main(argv)
+    except SystemExit as err:
+        return err.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestFloatFlagFuzz:
+    """Every float flag with a non-finite, zero or negative value: a clean exit
+    code, no escaping exception, and only finite numbers in what is written."""
+
+    VALUES = ["nan", "inf", "-inf", "0", "-1"]
+    TRADEOFF = ["tradeoff", "--rho-u", "0.5", "--s-grid", "20:40:lin2", "--tu-points", "41",
+                "--tq-points", "31", "--alpha-points", "5", "--prior-constant", "1",
+                "--curves", "numeric-lop,analytic-lower,explicit-gapss,upper-half-uniform,"
+                "upper-simplified,prior-general"]
+    BENCH = ["bench", "--sweep", "k", "--values", "100", "--queries", "3", "--L-cap", "1000"]
+    # (command prefix, the fuzzed flag); the flag given last overrides a default.
+    CASES = [
+        *(("gen-" + problem, flag) for problem, flags in
+          (("hude", ("--s", "--eps")), ("urde", ("--s", "--w-u")),
+           ("gapss", ("--w-u", "--w-q"))) for flag in flags),
+        *(("query", flag) for flag in ("--rho-u", "--c", "--c-query", "--eps")),
+        *(("bench", flag) for flag in ("--scale", "--L-factor")),
+        *(("tradeoff", flag) for flag in ("--rho-u", "--eps", "--w-u", "--prior-constant")),
+    ]
+
+    @pytest.fixture(scope="class")
+    def instance(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fuzz") / "inst"
+        assert main(_gen_args(out)) == 0
+        return out
+
+    @staticmethod
+    def _strict_json(text):
+        def refuse(constant):
+            raise ValueError(f"non-finite constant {constant} in JSON")
+
+        return json.loads(text, parse_constant=refuse)
+
+    def _check_finite(self, path):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            if line.startswith("#"):
+                self._strict_json(line[1:])
+                continue
+            for token in line.replace(",", " ").split():
+                try:
+                    number = float(token)
+                except ValueError:
+                    continue
+                assert math.isfinite(number), f"{path.name}: {line!r}"
+
+    @pytest.mark.parametrize("value", VALUES)
+    @pytest.mark.parametrize("command, flag", CASES, ids=[f"{c}{f}" for c, f in CASES])
+    def test_clean_exit_and_finite_output(self, tmp_path, capsys, instance, command, flag,
+                                          value):
+        out = tmp_path / "out"
+        if command.startswith("gen-"):
+            argv = _gen_args(out, command[4:]) + [flag, value]
+        elif command == "query":
+            argv = ["query", "--instance", str(instance), "--algorithm", "subset",
+                    "--rho-u", "0.5", flag, value]
+        else:
+            argv = [*(self.BENCH if command == "bench" else self.TRADEOFF), "--out", str(out),
+                    flag, value]
+        code = _main_within(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert "cannot convert" not in captured.err
+        if code != 0:
+            assert not out.exists()
+            return
+        if command == "query":
+            self._strict_json(captured.out)
+            return
+        for path in sorted(out.iterdir()) if out.is_dir() else [out]:
+            if path.suffix == ".json":
+                self._strict_json(path.read_text(encoding="utf-8"))
+            else:
+                self._check_finite(path)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen", "--problem", "urde", "--w-u", "0.5", "--s", "nan"],
+             "s must be finite and positive (got nan)"),
+            (["gen", "--problem", "hude", "--eps", "0.5", "--s", "nan"],
+             "s must be finite and positive with n/s >= 1 query samples (got nan)"),
+            (["query", "--rho-u", "inf"], "rho_u must be finite and nonnegative (got inf)"),
+            (["query", "--rho-u", "nan"], "rho_u must be finite and nonnegative (got nan)"),
+            (["query", "--rho-u", "0.5", "--c", "inf"], "c must be finite and positive (got inf)"),
+            (["query", "--rho-u", "0.5", "--c", "nan"], "c must be finite and positive (got nan)"),
+            (["bench", "--scale", "inf"], "scale must be finite and positive (got inf)"),
+            (["bench", "--scale", "nan"], "scale must be finite and positive (got nan)"),
+            (["bench", "--L-factor", "inf"], "L_factor must exceed 1 (got inf) and be finite"),
+            (["bench", "--L-factor", "nan"], "L_factor must exceed 1 (got nan) and be finite"),
+            (["tradeoff", "--rho-u", "nan"], "rho_u must be finite and nonnegative (got nan)"),
+            (["tradeoff", "--rho-u", "inf"], "rho_u must be finite and nonnegative (got inf)"),
+            (["tradeoff", "--rho-u", "0.5", "--curves", "prior-general", "--prior-constant",
+              "nan"], "prior-general needs a finite prior_constant > 0 (got nan)"),
+        ],
+        ids=lambda x: " ".join(x) if isinstance(x, list) else None,
+    )
+    def test_non_finite_value_is_named(self, tmp_path, capsys, instance, argv, message):
+        out = tmp_path / "out"
+        command, *flags = argv
+        if command == "gen":
+            argv = ["gen", "--n", "100", "--k", "20", "--out", str(out), *flags]
+        elif command == "query":
+            argv = ["query", "--instance", str(instance), "--algorithm", "subset", *flags]
+        elif command == "bench":
+            argv = [*self.BENCH, "--out", str(out), *flags]
+        else:
+            argv = ["tradeoff", "--s-grid", "20:40:lin2", "--out", str(out), *flags]
+        assert _main_within(argv) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()

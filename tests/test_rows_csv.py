@@ -2,8 +2,9 @@
 
 import pytest
 
-from hude.bench import ResultRow, write_results_csv
-from hude.tradeoff import TradeoffPoint, write_tradeoff_csv
+from hude.bench import ResultRow
+from hude.distributions import read_rows, write_rows
+from hude.tradeoff import TradeoffPoint
 
 RESULT_ROWS = [
     ResultRow("elimination", 2000, 500, 50, 3, None, 1.0, 4012.5, 61234.25, 7),
@@ -50,16 +51,64 @@ TRADEOFF_TEXT = (
 
 
 @pytest.mark.parametrize(
-    "write, rows, metadata, text",
+    "rows, metadata, text",
     [
-        (write_results_csv, RESULT_ROWS, RESULT_META, RESULT_TEXT),
-        (write_results_csv, RESULT_ROWS, None, RESULT_TEXT.split("\n", 1)[1]),
-        (write_tradeoff_csv, TRADEOFF_ROWS, TRADEOFF_META, TRADEOFF_TEXT),
-        (write_tradeoff_csv, TRADEOFF_ROWS, None, TRADEOFF_TEXT.split("\n", 1)[1]),
+        (RESULT_ROWS, RESULT_META, RESULT_TEXT),
+        (RESULT_ROWS, None, RESULT_TEXT.split("\n", 1)[1]),
+        (TRADEOFF_ROWS, TRADEOFF_META, TRADEOFF_TEXT),
+        (TRADEOFF_ROWS, None, TRADEOFF_TEXT.split("\n", 1)[1]),
     ],
     ids=["results", "results-no-metadata", "tradeoff", "tradeoff-no-metadata"],
 )
-def test_golden_text(tmp_path, write, rows, metadata, text):
+def test_golden_text(tmp_path, rows, metadata, text):
     path = tmp_path / "rows.csv"
-    write(rows, path, metadata)
+    write_rows(rows, path, metadata)
     assert path.read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "rows, row_type", [(RESULT_ROWS, ResultRow), (TRADEOFF_ROWS, TradeoffPoint)]
+)
+def test_round_trip(tmp_path, rows, row_type):
+    path = tmp_path / "rows.csv"
+    write_rows(rows, path, {"tag": "round-trip"})
+    back = read_rows(path, row_type)
+    assert back == rows
+
+
+def _malformed(text):
+    """(lines, 1-based line at fault) per defect, from a metadata + header + 2-row text."""
+    meta, header, first, second = text.splitlines(keepends=True)[:4]
+    cells = second.split(",")
+    cells[1] = "many"
+    return {
+        "short-row": ([meta, header, first, second.rsplit(",", 1)[0] + "\n"], 4),
+        "long-row": ([meta, header, first.replace("\n", ",9\n"), second], 3),
+        "non-numeric-cell": ([meta, header, first, ",".join(cells)], 4),
+        "wrong-header": ([meta, header.replace(",", ";", 1), first, second], 2),
+        "header-only": ([meta, header], 2),
+    }
+
+
+MALFORMED = [
+    pytest.param(row_type, lines, line, id=f"{row_type.__name__}-{defect}")
+    for row_type, text in ((ResultRow, RESULT_TEXT), (TradeoffPoint, TRADEOFF_TEXT))
+    for defect, (lines, line) in _malformed(text).items()
+]
+
+
+@pytest.mark.parametrize("row_type, lines, line", MALFORMED)
+def test_malformed_file_names_its_line(tmp_path, row_type, lines, line):
+    path = tmp_path / "rows.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^line {line}: "):
+        read_rows(path, row_type)
+
+
+def test_writer_refuses_what_it_cannot_write(tmp_path):
+    path = tmp_path / "rows.csv"
+    with pytest.raises(ValueError, match="no rows"):
+        write_rows([], path)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_rows(RESULT_ROWS, path, {"rho_u": float("nan")})
+    assert not path.exists()

@@ -7,19 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hude.distributions import read_rows, write_rows
 from hude.instances import required_w_q
 from hude.tradeoff import (
     SearchOptions,
+    TradeoffPoint,
     analytic_lower_bound,
     coupling_kl,
     entropy_gap,
-    format_tradeoff_csv,
     gapss_explicit_bound,
     kl_binary,
     minimize_objective,
     objective,
     objective_from_divergences,
-    parse_tradeoff_csv,
     query_exponent_lower_bound,
     reduction_w_q,
     stationarity_residual,
@@ -82,6 +82,7 @@ class TestCouplingKl:
 class TestObjective:
     def test_two_codings_agree(self):
         rng = np.random.default_rng(11)
+        points = []
         for _ in range(10_000):
             w_q = rng.uniform(0.001, 0.4)
             w_u = rng.uniform(w_q + 0.05, 0.95)
@@ -90,9 +91,12 @@ class TestObjective:
                 continue
             t_q = rng.uniform(0.0, t_u)
             alpha = rng.uniform(0.0, 1.0)
-            a = objective(t_q, t_u, w_q, w_u, alpha)
-            b = objective_from_divergences(t_q, t_u, w_q, w_u, alpha)
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
+            points.append((t_q, t_u, w_q, w_u, alpha))
+        # Each coding evaluated once over all points, elementwise.
+        columns = np.asarray(points).T
+        a = objective(*columns)
+        b = objective_from_divergences(*columns)
+        assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))))
 
     def test_internal_evaluation_matches_public_codings(self):
         # The minimizer's chain-rule evaluation must agree with the expanded
@@ -435,7 +439,7 @@ class TestCurveEmission:
             assert row.inv_s == pytest.approx(1.0 / row.s)
             assert row.w_q == pytest.approx(reduction_w_q(row.s))
 
-    def test_csv_round_trip(self):
+    def test_csv_round_trip(self, tmp_path):
         opts = SearchOptions(tu_points=201, tq_points=121)
         rows = tradeoff_rows(
             0.5,
@@ -444,9 +448,12 @@ class TestCurveEmission:
             prior_constant=1.0,
             opts=opts,
         )
-        text = format_tradeoff_csv(rows)
-        assert parse_tradeoff_csv(text) == rows
-        assert format_tradeoff_csv(parse_tradeoff_csv(text)) == text
+        path = tmp_path / "curves.csv"
+        write_rows(rows, path)
+        assert read_rows(path, TradeoffPoint) == rows
+        text = path.read_text()
+        write_rows(read_rows(path, TradeoffPoint), path)
+        assert path.read_text() == text
 
     def test_prior_general_needs_constant(self):
         with pytest.raises(ValueError):
@@ -467,6 +474,8 @@ class TestCurveEmission:
         with pytest.raises(ValueError):
             tradeoff_rows(0.5, [30.0], curves=("mystery",))
 
-    def test_header_enforced_on_parse(self):
+    def test_header_enforced_on_parse(self, tmp_path):
+        path = tmp_path / "curves.csv"
+        path.write_text("curve,s\nx,1\n")
         with pytest.raises(ValueError):
-            parse_tradeoff_csv("curve,s\nx,1\n")
+            read_rows(path, TradeoffPoint)
