@@ -11,6 +11,7 @@ the query call only; preprocessing is never billed.  Sweep rows are
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields
 
@@ -57,6 +58,14 @@ class ExperimentConfig:
             raise ValueError("sweep needs at least one value")
         if min(self.k, self.n, self.S, self.ell, self.queries_per_point, self.L_init) <= 0:
             raise ValueError("all dimensions must be positive")
+        even = self.sweep_param == "n"  # half-uniform supports need an even domain
+        for value in self.sweep_values:
+            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if not (integral and value > 0 and not (even and value % 2)):
+                rule = "a positive even integer" if even else "a positive integer"
+                raise ValueError(f"sweep value {value!r} for {self.sweep_param} must be {rule}")
+        if not even and self.n % 2 != 0:
+            raise ValueError(f"domain size n must be even for half-uniform supports (got {self.n})")
         if not (math.isfinite(self.L_factor) and self.L_factor > 1):
             raise ValueError(f"L_factor must exceed 1 (got {self.L_factor!r}) and be finite")
         for name in ("epsilon", "c_query", "scale"):
@@ -66,19 +75,9 @@ class ExperimentConfig:
 
     def resolved_point(self, value) -> tuple[int, int, int, int]:
         """(k, n, S, ell) for one sweep value, with the desk-scale factor applied to k."""
-        k, n, S, ell = self.k, self.n, self.S, self.ell
-        if self.sweep_param == "k":
-            k = int(value)
-        elif self.sweep_param == "n":
-            n = int(value)
-        elif self.sweep_param == "S":
-            S = int(value)
-        else:
-            ell = int(value)
-        k = max(1, round(k * self.scale))
-        if n % 2 != 0:
-            raise ValueError("domain size must be even for half-uniform supports")
-        return k, n, S, ell
+        point = {"k": self.k, "n": self.n, "S": self.S, "ell": self.ell}
+        point[self.sweep_param] = int(value)
+        return max(1, round(point["k"] * self.scale)), point["n"], point["S"], point["ell"]
 
     @classmethod
     def from_json(cls, payload, overrides: dict | None = None) -> "ExperimentConfig":

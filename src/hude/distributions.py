@@ -1,9 +1,10 @@
 """Supports, uniform-on-support distributions, and query sample sets.
 
-The single metered primitive lives here: :func:`contains` reads one bit of a
-support and charges exactly one membership operation to the caller's counter.
-Everything else (generation, distances, serialization) goes through the
-unmetered accessors, since setup work is never billed to a query.
+:class:`OpCounter` meters membership operations.  The query paths charge their
+tests to it in bulk; :func:`contains`, which reads one bit of a support and
+charges exactly one operation, is the definition the oracles check them
+against.  Everything else (generation, distances, serialization) is unmetered,
+since setup work is never billed to a query.
 """
 from __future__ import annotations
 
@@ -84,9 +85,6 @@ class SupportSet:
         if not isinstance(other, SupportSet):
             return NotImplemented
         return self.n == other.n and bool(np.array_equal(self.bits, other.bits))
-
-    def __hash__(self) -> int:  # content hash; supports are immutable by convention
-        return hash((self.n, self.bits.tobytes()))
 
     def __repr__(self) -> str:
         return f"SupportSet(n={self.n}, cardinality={self.cardinality})"
@@ -239,9 +237,6 @@ class Dataset:
     def distribution(self, j: int) -> HalfUniformDistribution:
         return HalfUniformDistribution(self.support(j))
 
-    def __len__(self) -> int:
-        return self.k
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
@@ -307,7 +302,7 @@ def dumps_dataset(dataset: Dataset, metadata: dict | None = None) -> str:
         lines.append(_metadata_line(metadata))
     lines.append(f"{dataset.n} {dataset.k}")
     for j in range(dataset.k):
-        lines.append(" ".join(str(e) for e in dataset.support(j).indices.tolist()))
+        lines.append(" ".join(str(e) for e in np.flatnonzero(dataset.row(j)).tolist()))
     return "\n".join(lines) + "\n"
 
 

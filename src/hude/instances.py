@@ -94,6 +94,9 @@ class GapssInstance(_OnDataset):
 # ---------------------------------------------------------------------------
 
 _KNUTH_CHUNK = 8.0  # product method stays exact; additivity handles large rates
+# Largest rate :func:`poisson` accepts: its cost grows linearly with the rate
+# (about 0.8 s at this cap), so an unbounded rate would never return.
+_MAX_POISSON_RATE = 1e6
 
 
 def _poisson_knuth(lam: float, rng: np.random.Generator) -> int:
@@ -108,9 +111,14 @@ def _poisson_knuth(lam: float, rng: np.random.Generator) -> int:
 
 
 def poisson(lam: float, rng: np.random.Generator) -> int:
-    """Exact Poisson draw via Knuth's product method (chunked for large rates)."""
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"rate must be finite and positive (got {lam!r})")
+    """Exact Poisson draw via Knuth's product method (chunked for large rates).
+
+    The rate must lie in (0, 1e6]: see _MAX_POISSON_RATE.
+    """
+    if not 0 < lam <= _MAX_POISSON_RATE:
+        raise ValueError(
+            f"rate must be positive and at most {_MAX_POISSON_RATE:g} (got {lam!r})"
+        )
     total = 0
     while lam > _KNUTH_CHUNK:
         total += _poisson_knuth(_KNUTH_CHUNK, rng)
@@ -145,19 +153,15 @@ def poisson_plus(lam: float, rng: np.random.Generator) -> int:
 # ---------------------------------------------------------------------------
 
 
-def gen_hude(
-    n: int,
-    k: int,
-    epsilon: float,
-    s: float,
-    seed: int,
-    max_retries: int = 10,
-) -> HudeInstance:
+_HUDE_RETRIES = 10  # dataset resamples allowed after a failed separation check
+
+
+def gen_hude(n: int, k: int, epsilon: float, s: float, seed: int) -> HudeInstance:
     """Half-uniform instance: k random size-n/2 supports plus floor(n/s) samples.
 
     After generation the L1 separation promise is checked against the truth
     index only; on a violation the whole dataset is resampled, up to
-    ``max_retries`` times.
+    ``_HUDE_RETRIES`` times.
     """
     if n <= 0 or n % 2 != 0:
         raise ValueError("domain size must be positive and even")
@@ -171,7 +175,7 @@ def gen_hude(
     m_query = int(n // s)
     half = n // 2
     worst: tuple[int, int, float] | None = None
-    for attempt in range(max_retries + 1):
+    for attempt in range(_HUDE_RETRIES + 1):
         matrix = random_fixed_size_supports(k, n, half, substream(seed, "hude-dataset", attempt))
         truth = int(substream(seed, "hude-truth", attempt).integers(0, k))
         # Equal-size supports: ||p_t - p_j||_1 = 2 - 4*|intersection|/n.
@@ -188,7 +192,7 @@ def gen_hude(
         worst = (truth, j, float(dist[j]))
     truth, j, d = worst  # type: ignore[misc]
     raise GenerationError(
-        f"separation promise failed after {max_retries} retries: "
+        f"separation promise failed after {_HUDE_RETRIES} retries: "
         f"||p_{truth} - p_{j}||_1 = {d:.6f} < epsilon = {epsilon}"
     )
 
@@ -201,6 +205,11 @@ def gen_urde(n: int, k: int, w_u: float, s: float, seed: int) -> UrdeInstance:
         raise ValueError("inclusion probability must be in (0, 1]")
     if not (math.isfinite(s) and s > 0):
         raise ValueError(f"s must be finite and positive (got {s!r})")
+    if n > s * w_u * _MAX_POISSON_RATE:
+        raise ValueError(
+            f"s = {s!r} is too small: the query rate n/(s*w_u) = {n / s / w_u:.3g} "
+            f"exceeds {_MAX_POISSON_RATE:g}"
+        )
 
     matrix = random_bernoulli_supports(k, n, w_u, substream(seed, "urde-dataset"))
     truth = int(substream(seed, "urde-truth").integers(0, k))
@@ -212,7 +221,7 @@ def gen_urde(n: int, k: int, w_u: float, s: float, seed: int) -> UrdeInstance:
         )[0]
         resamples += 1
     dataset = Dataset(matrix)
-    card = dataset.support(truth).cardinality
+    card = int(np.count_nonzero(matrix[truth]))
     total = poisson(card / (s * w_u), substream(seed, "urde-querysize"))
     query = dataset.distribution(truth).sample(total, substream(seed, "urde-query"))
     return UrdeInstance(dataset, float(w_u), float(s), truth, query, seed, resamples)
@@ -247,17 +256,10 @@ def required_w_q(w_u: float, s: float) -> float:
     return w_u * -math.expm1(-1.0 / (s * w_u))
 
 
-def implied_s(w_u: float, w_q: float) -> float:
-    """Inverse of :func:`required_w_q`: s = -1 / (w_u * log(1 - w_q/w_u))."""
-    return -1.0 / (w_u * math.log1p(-w_q / w_u))
+_REDUCTION_TOLERANCE = 1e-9  # relative slack allowed between w_q and required_w_q
 
 
-def reduce_gapss_to_urde(
-    g: GapssInstance,
-    s: float,
-    seed: int,
-    rel_tol: float = 1e-9,
-) -> UrdeInstance:
+def reduce_gapss_to_urde(g: GapssInstance, s: float, seed: int) -> UrdeInstance:
     """Turn a subset-search instance into a random-support instance.
 
     Each dataset vector becomes a uniform distribution on its 1-coordinates.
@@ -266,7 +268,7 @@ def reduce_gapss_to_urde(
     per-element appearance counts are exactly Poisson(1/(s*w_u)).
     """
     need = required_w_q(g.w_u, s)
-    if abs(g.w_q - need) > rel_tol * max(abs(need), abs(g.w_q)):
+    if abs(g.w_q - need) > _REDUCTION_TOLERANCE * max(abs(need), abs(g.w_q)):
         raise ValueError(
             f"parameter relation violated: instance w_q = {g.w_q!r} but the "
             f"reduction at s = {s!r} requires w_q = {need!r}"

@@ -69,8 +69,6 @@ def sample_probes(seed: int, count: int, size: int, n: int) -> np.ndarray:
     """
     if size > n:
         raise ValueError("probe size cannot exceed the domain size")
-    if size == 0:
-        return np.zeros((count, 0), dtype=np.int64)
     base = np.uint64(stream_key(seed, "probes"))
     keys = mix64(base + np.arange(count, dtype=np.uint64))
     selected = np.empty((count, size), dtype=np.int64)
@@ -177,7 +175,6 @@ def query(
     epsilon: float,
     counter: OpCounter,
     rng: np.random.Generator | None = None,
-    variant: str | None = None,
 ) -> QueryResult:
     """Scan probes in order; resolve the first contained probe's bucket.
 
@@ -187,9 +184,7 @@ def query(
     ``epsilon`` (the certificate budget's separation) must be finite and
     positive.
     """
-    variant = variant or index.params.variant
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown query variant {variant!r}")
+    variant = index.params.variant
     if variant == VARIANT_UJ_CERTIFY and rng is None:
         raise ValueError("uj-certify needs an rng for candidate sampling")
     if not (math.isfinite(epsilon) and epsilon > 0):
@@ -268,7 +263,12 @@ def theoretical_params(
     ell = max(1, math.floor(ell_exact))
     # base**ell_exact == k**rho_u by construction; the direct form is exact
     # when k**rho_u is (ceil would otherwise pick up float noise).
-    num_probes = math.ceil(c * k**rho_u)
+    try:
+        num_probes = math.ceil(c * k**rho_u)
+    except OverflowError:
+        raise ValueError(
+            f"probe count c * k**rho_u overflows (c={c!r}, rho_u={rho_u!r}, k={k})"
+        ) from None
     return TheoreticalChoice(
         IndexParams(num_probes, ell, c_query=c_query, variant=variant),
         predicted,

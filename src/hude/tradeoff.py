@@ -21,26 +21,6 @@ from .instances import required_w_q
 
 LOG2 = math.log(2.0)
 
-__all__ = [
-    "kl_binary",
-    "coupling_kl",
-    "objective",
-    "objective_from_divergences",
-    "stationarity_residual",
-    "entropy_gap",
-    "SearchOptions",
-    "InfimumResult",
-    "minimize_objective",
-    "LowerBoundResult",
-    "query_exponent_lower_bound",
-    "gapss_explicit_bound",
-    "analytic_lower_bound",
-    "reduction_w_q",
-    "upper_exponent",
-    "TradeoffPoint",
-    "tradeoff_rows",
-]
-
 
 def _xlog_ratio(x, ref):
     """x * log(x / ref) with the 0*log(0) = 0 convention; +inf when ref == 0 < x."""
@@ -127,36 +107,20 @@ def objective_from_divergences(t_q, t_u, w_q, w_u, alpha):
     return out
 
 
-def stationarity_residual(t_q, t_u, w_q, w_u, alpha) -> float:
-    """Log residual of the interior first-order condition in the t_q direction:
-
-    log((t_u-t_q)/(w_u-w_q)) - (1-alpha) log(t_q/w_q) - alpha log((1-t_q)/(1-w_q)).
-    Zero at interior minimizers.
-    """
-    return float(
-        math.log((t_u - t_q) / (w_u - w_q))
-        - (1.0 - alpha) * math.log(t_q / w_q)
-        - alpha * math.log((1.0 - t_q) / (1.0 - w_q))
-    )
-
-
-def entropy_gap(x, return_boundary: bool = False):
+def entropy_gap(x):
     """x log(2x) + (1-x) log(2(1-x)); equals kl_binary(x, 1/2).
 
-    At the boundary points 0 and 1 the limit value log 2 is returned (the
-    optional second output flags that the limit convention was used).
+    At the boundary points 0 and 1 the limit value log 2 is returned.
     """
     x_arr = np.asarray(x, dtype=np.float64)
     if np.any((x_arr < 0) | (x_arr > 1)):
         raise ValueError("argument must lie in [0, 1]")
-    boundary = (x_arr == 0.0) | (x_arr == 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = x_arr * np.log(2.0 * x_arr) + (1.0 - x_arr) * np.log(2.0 * (1.0 - x_arr))
-    out = np.where(boundary, LOG2, out)
+    out = np.where((x_arr == 0.0) | (x_arr == 1.0), LOG2, out)
     if out.ndim == 0:
-        out = float(out)
-        return (out, bool(boundary)) if return_boundary else out
-    return (out, boundary) if return_boundary else out
+        return float(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +153,6 @@ class InfimumResult:
     value: float
     t_q: float
     t_u: float
-    tq_boundary: bool  # minimizer sits on the t_q = 0 edge
-    near_band: bool  # minimizer within the secondary band around t_u = w_u
 
 
 def _tu_axis(w_u: float, points: int) -> np.ndarray:
@@ -318,39 +280,38 @@ def _golden_min(fun, lo: float, hi: float, iters: int = 80, xtol: float = 0.0):
     return (x1, f1) if f1 < f2 else (x2, f2)
 
 
+def _tq_slope(t_q: float, t_u: float, w_q: float, w_u: float, alpha: float) -> float:
+    """The numerator's t_q-derivative at fixed t_u; zero at interior minimizers."""
+    return (
+        math.log(t_q / w_q)
+        - math.log((t_u - t_q) / (w_u - w_q))
+        - alpha * math.log(t_q * (1.0 - w_q) / (w_q * (1.0 - t_q)))
+    )
+
+
 def _inner_tq(t_u: float, w_q: float, w_u: float, alpha: float) -> float:
     """Exact inner minimizer over t_q at fixed t_u.
 
-    The t_q-derivative of the objective's numerator,
-        h(t_q) = log(t_q/w_q) - log((t_u-t_q)/(w_u-w_q))
-                 - alpha log(t_q(1-w_q)/(w_q(1-t_q))),
-    is strictly increasing on (0, t_u) for alpha in [0, 1], so the inner
-    minimum is either its unique root or the t_q = 0 boundary when h is
+    The numerator's t_q-derivative (:func:`_tq_slope`) is strictly
+    increasing on (0, t_u) for alpha in [0, 1], so the inner minimum is
+    either its unique root or the t_q = 0 boundary when the derivative is
     nonnegative throughout (possible only at alpha = 1).  The root is found
-    by Newton steps in x = log t_q, where dh/dx = 1 + t_q/(t_u-t_q) -
-    alpha/(1-t_q) > 0, falling back to bisection whenever a step leaves the
-    sign bracket.
+    by Newton steps in x = log t_q, where the derivative's x-slope is
+    1 + t_q/(t_u-t_q) - alpha/(1-t_q) > 0, falling back to bisection
+    whenever a step leaves the sign bracket.
     """
     if t_u <= 0.0:
         return 0.0
-
-    def h(t_q: float) -> float:
-        return (
-            math.log(t_q / w_q)
-            - math.log((t_u - t_q) / (w_u - w_q))
-            - alpha * math.log(t_q * (1.0 - w_q) / (w_q * (1.0 - t_q)))
-        )
-
     lo = math.log(max(t_u * 1e-18, 1e-280))
     hi = math.log(t_u) + math.log1p(-1e-14)
-    if h(math.exp(lo)) >= 0.0:
+    if _tq_slope(math.exp(lo), t_u, w_q, w_u, alpha) >= 0.0:
         return 0.0
-    if h(math.exp(hi)) <= 0.0:
+    if _tq_slope(math.exp(hi), t_u, w_q, w_u, alpha) <= 0.0:
         return math.exp(hi)
     x = 0.5 * (lo + hi)
     for _ in range(100):
         t_q = math.exp(x)
-        value = h(t_q)
+        value = _tq_slope(t_q, t_u, w_q, w_u, alpha)
         step = value / (1.0 + t_q / (t_u - t_q) - alpha / (1.0 - t_q))
         if abs(step) <= 1e-15 * max(1.0, abs(x)):
             return math.exp(x - step)
@@ -422,9 +383,7 @@ def _with_band_pass(main, tq_axis, w_q: float, w_u: float, alpha: float) -> Infi
     band_min = _grid_minimizer(tq_axis, band_axis, w_q, w_u)
     sides = (w_u - _EXCLUDE_BAND, w_u + _EXCLUDE_BAND)
     band = _polish(w_q, w_u, alpha, *band_min(alpha), _INNER_BAND, sides)
-    near_band = band[0] < main[0]
-    value, t_q, t_u = band if near_band else main
-    return InfimumResult(value, t_q, t_u, t_q == 0.0, near_band)
+    return InfimumResult(*(band if band[0] < main[0] else main))
 
 
 def minimize_objective(
@@ -560,11 +519,6 @@ def analytic_lower_bound(s: float, rho_u: float) -> float:
     return 1.0 - s ** -(1.0 - LOG2) - rho_u / (math.log(s) - 1.0)
 
 
-def reduction_w_q(s: float, w_u: float = 0.5) -> float:
-    """Query density matched to sample ratio s: w_u * (1 - e^{-1/(s*w_u)})."""
-    return required_w_q(w_u, s)
-
-
 def upper_exponent(s: float, rho_u: float, epsilon: float, simplified: bool = False) -> float:
     """Query-time exponent achieved by the probe-subset index.
 
@@ -654,7 +608,7 @@ def tradeoff_rows(
         s = float(s)
         if not (math.isfinite(s) and s > 0):
             raise ValueError(f"sample ratio s must be finite and positive (got {s!r})")
-        w_q = reduction_w_q(s, w_u)
+        w_q = required_w_q(w_u, s)
         for curve in curves:
             flags: list[str] = []
             if curve == "numeric-lop":

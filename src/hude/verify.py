@@ -206,6 +206,7 @@ def _check_entropy_bounds() -> str | None:
 
 def _check_objective_codings() -> str | None:
     rng = substream(71, "verify-codings")
+    points = []
     for _ in range(2000):
         w_q = rng.uniform(0.001, 0.4)
         w_u = rng.uniform(w_q + 0.05, 0.95)
@@ -214,27 +215,36 @@ def _check_objective_codings() -> str | None:
             continue
         t_q = rng.uniform(0.0, t_u)
         alpha = rng.uniform(0.0, 1.0)
-        a = tradeoff.objective(t_q, t_u, w_q, w_u, alpha)
-        b = tradeoff.objective_from_divergences(t_q, t_u, w_q, w_u, alpha)
-        if abs(a - b) > 1e-12 * max(1.0, abs(a), abs(b)):
-            return f"codings disagree by {abs(a - b):.2e} at ({t_q}, {t_u})"
+        points.append((t_q, t_u, w_q, w_u, alpha))
+    columns = np.asarray(points).T  # each coding evaluated once, elementwise
+    a = tradeoff.objective(*columns)
+    b = tradeoff.objective_from_divergences(*columns)
+    bad = np.flatnonzero(np.abs(a - b) > 1e-12 * np.maximum(1.0, np.maximum(abs(a), abs(b))))
+    if bad.size:
+        i = bad[0]
+        return f"codings disagree by {abs(a[i] - b[i]):.2e} at ({columns[0, i]}, {columns[1, i]})"
     return None
 
 
 def _check_kl_nonnegative() -> str | None:
     rng = substream(72, "verify-klnn")
+    points = []
     for _ in range(10_000):
         w_q = rng.uniform(0.01, 0.45)
         w_u = rng.uniform(w_q + 0.01, 0.99)
         t_u = rng.uniform(0.0, 1.0)
         t_q = rng.uniform(0.0, t_u)
-        if tradeoff.coupling_kl(t_q, t_u, w_q, w_u) < 0:
-            return f"negative divergence at ({t_q}, {t_u})"
+        points.append((t_q, t_u, w_q, w_u))
+    columns = np.asarray(points).T
+    bad = np.flatnonzero(tradeoff.coupling_kl(*columns) < 0)
+    if bad.size:
+        i = bad[0]
+        return f"negative divergence at ({columns[0, i]}, {columns[1, i]})"
     return None
 
 
 def _check_densification_stable() -> str | None:
-    w_q = tradeoff.reduction_w_q(100.0, 0.5)
+    w_q = instances.required_w_q(0.5, 100.0)
     alpha = 1.0 + 1.0 / math.log(w_q)
     a = tradeoff.minimize_objective(w_q, 0.5, alpha)
     b = tradeoff.minimize_objective(

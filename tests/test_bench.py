@@ -6,6 +6,7 @@ vectorized counters must agree with it exactly.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,8 +144,8 @@ class TestReferenceOpCounts:
                 assert theirs.membership_ops == ours.membership_ops
             for variant in ("bucket-eliminate", "uj-certify"):
                 theirs, ours = OpCounter(), OpCounter()
-                result = query(index, sample, 1.0, theirs, rng=substream(seed, "certify"),
-                               variant=variant)
+                index.params = replace(index.params, variant=variant)
+                result = query(index, sample, 1.0, theirs, rng=substream(seed, "certify"))
                 expected = _reference_subset_query(
                     index, sample, ours, 1.0, substream(seed, "certify"), variant
                 )
@@ -181,7 +182,7 @@ def _scan_index(L, hits, ell=2, variant="bucket-eliminate"):
 def _assert_scan_matches_reference(index, variant="bucket-eliminate"):
     sample = QueryMultiset(8, np.asarray(_SCAN_SAMPLE))
     theirs, ours = OpCounter(), OpCounter()
-    result = query(index, sample, 1.0, theirs, rng=substream(4, "certify"), variant=variant)
+    result = query(index, sample, 1.0, theirs, rng=substream(4, "certify"))
     expected = _reference_subset_query(index, sample, ours, 1.0, substream(4, "certify"), variant)
     assert (result.outcome, result.index) == expected
     assert theirs.membership_ops == ours.membership_ops
@@ -380,9 +381,8 @@ class TestRunSweep:
             ExperimentConfig(sweep_param="k", sweep_values=())
         with pytest.raises(ValueError):
             ExperimentConfig.from_json({"sweep_param": "k", "sweep_values": [2], "bogus": 1})
-        config = ExperimentConfig(sweep_param="n", sweep_values=(63,), seed=0)
         with pytest.raises(ValueError):
-            config.resolved_point(63)
+            ExperimentConfig(sweep_param="n", sweep_values=(63,), seed=0)
 
     @pytest.mark.parametrize(
         "payload, message",

@@ -218,6 +218,22 @@ class TestBench:
              "epsilon must be finite and positive (got nan)"),
             ({"sweep_param": "k", "sweep_values": [100], "c_query": -5},
              "c_query must be finite and positive (got -5)"),
+            ({"sweep_param": "k", "sweep_values": [0]},
+             "sweep value 0 for k must be a positive integer"),
+            ({"sweep_param": "k", "sweep_values": [100, -5]},
+             "sweep value -5 for k must be a positive integer"),
+            ({"sweep_param": "k", "sweep_values": [2.5]},
+             "sweep value 2.5 for k must be a positive integer"),
+            ({"sweep_param": "S", "sweep_values": [0]},
+             "sweep value 0 for S must be a positive integer"),
+            ({"sweep_param": "ell", "sweep_values": [0]},
+             "sweep value 0 for ell must be a positive integer"),
+            ({"sweep_param": "n", "sweep_values": [64, 63]},
+             "sweep value 63 for n must be a positive even integer"),
+            ({"sweep_param": "n", "sweep_values": [0]},
+             "sweep value 0 for n must be a positive even integer"),
+            ({"sweep_param": "k", "sweep_values": [100], "n": 63},
+             "domain size n must be even for half-uniform supports (got 63)"),
         ],
     )
     def test_malformed_config_is_a_clean_error(self, tmp_path, capsys, payload, message):
@@ -421,6 +437,10 @@ class TestFloatFlagFuzz:
             (["query", "--rho-u", "nan"], "rho_u must be finite and nonnegative (got nan)"),
             (["query", "--rho-u", "0.5", "--c", "inf"], "c must be finite and positive (got inf)"),
             (["query", "--rho-u", "0.5", "--c", "nan"], "c must be finite and positive (got nan)"),
+            (["query", "--rho-u", "1000"], "rho_u=1000.0"),
+            (["query", "--rho-u", "0.5", "--c", "1e308"], "c=1e+308"),
+            (["gen", "--problem", "urde", "--w-u", "0.5", "--s", "1e-300"],
+             "s = 1e-300 is too small"),
             (["bench", "--scale", "inf"], "scale must be finite and positive (got inf)"),
             (["bench", "--scale", "nan"], "scale must be finite and positive (got nan)"),
             (["bench", "--L-factor", "inf"], "L_factor must exceed 1 (got inf) and be finite"),

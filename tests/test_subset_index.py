@@ -1,6 +1,7 @@
 """Probe-subset index: buckets, probe scan, both query variants, parameter rule."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,9 +197,8 @@ class TestQuery:
         index = preprocess(inst.dataset, IndexParams(4000, 3), seed=8)
         for variant in ("bucket-eliminate", "uj-certify"):
             ctr = OpCounter()
-            result = query(
-                index, inst.query, 1.0, ctr, rng=substream(9, variant), variant=variant
-            )
+            index.params = replace(index.params, variant=variant)
+            result = query(index, inst.query, 1.0, ctr, rng=substream(9, variant))
             assert result.outcome == "found"
             assert result.index == inst.truth_index
             assert ctr.membership_ops > 0

@@ -21,8 +21,6 @@ from hude.tradeoff import (
     objective,
     objective_from_divergences,
     query_exponent_lower_bound,
-    reduction_w_q,
-    stationarity_residual,
     tradeoff_rows,
     upper_exponent,
 )
@@ -71,12 +69,15 @@ class TestCouplingKl:
 
     def test_nonnegative_on_random_points(self):
         rng = np.random.default_rng(5)
+        points = []
         for _ in range(10_000):
             w_q = rng.uniform(0.01, 0.45)
             w_u = rng.uniform(w_q + 0.01, 0.99)
             t_u = rng.uniform(0.0, 1.0)
             t_q = rng.uniform(0.0, t_u)
-            assert coupling_kl(t_q, t_u, w_q, w_u) >= 0.0
+            points.append((t_q, t_u, w_q, w_u))
+        # One elementwise evaluation over all points.
+        assert np.all(coupling_kl(*np.asarray(points).T) >= 0.0)
 
 
 class TestObjective:
@@ -150,15 +151,17 @@ class TestMinimizeObjective:
         assert result.value >= alpha - w_q ** (1.0 - LOG2 - 0.1)
 
     def test_interior_argmin_satisfies_first_order_condition(self):
+        from hude.tradeoff import _tq_slope
+
         for w_q in (1e-3, 0.0476):
             alpha = 1.0 + 1.0 / math.log(w_q)
             result = minimize_objective(w_q, 0.5, alpha)
             assert 0.0 < result.t_q < result.t_u
-            residual = stationarity_residual(result.t_q, result.t_u, w_q, 0.5, alpha)
-            assert abs(residual) <= 1e-4
+            slope = _tq_slope(result.t_q, result.t_u, w_q, 0.5, alpha)
+            assert abs(slope) <= 1e-4
 
     def test_stable_under_grid_refinement(self):
-        w_q = reduction_w_q(100.0)
+        w_q = required_w_q(0.5, 100.0)
         alpha = 1.0 + 1.0 / math.log(w_q)
         coarse = minimize_objective(w_q, 0.5, alpha)
         dense = minimize_objective(
@@ -182,7 +185,7 @@ class TestMinimizeObjective:
 
 class TestQueryExponentBound:
     def test_nonincreasing_in_space_exponent(self):
-        w_q = reduction_w_q(50.0)
+        w_q = required_w_q(0.5, 50.0)
         opts = SearchOptions(tu_points=201, tq_points=121)
         values = [
             query_exponent_lower_bound(w_q, 0.5, rho_u, opts=opts, alpha_points=41).rho_q
@@ -193,7 +196,7 @@ class TestQueryExponentBound:
     def test_zero_space_reduces_to_pure_ratio(self):
         # With no space term the bound is max over alpha of inf/alpha, which
         # upper-bounds every (inf - (1-alpha) rho)/alpha value.
-        w_q = reduction_w_q(50.0)
+        w_q = required_w_q(0.5, 50.0)
         opts = SearchOptions(tu_points=201, tq_points=121)
         zero = query_exponent_lower_bound(w_q, 0.5, 0.0, opts=opts, alpha_points=41)
         half = query_exponent_lower_bound(w_q, 0.5, 0.5, opts=opts, alpha_points=41)
@@ -203,19 +206,19 @@ class TestQueryExponentBound:
         # The acceptance suite sweeps the full grid; spot-check here down to
         # s=10, below the grid's left edge.
         for s in (10.0, 50.0):
-            bound = query_exponent_lower_bound(reduction_w_q(s), 0.5, 0.5)
+            bound = query_exponent_lower_bound(required_w_q(0.5, s), 0.5, 0.5)
             assert bound.rho_q >= analytic_lower_bound(s, 0.5) - 0.02
             assert bound.rho_q <= upper_exponent(s, 0.5, 1.0) + 0.02
 
     def test_result_is_clamped(self):
-        bound = query_exponent_lower_bound(reduction_w_q(30.0), 0.5, 0.5)
+        bound = query_exponent_lower_bound(required_w_q(0.5, 30.0), 0.5, 0.5)
         assert 0.0 <= bound.rho_q <= 1.0
 
     @pytest.mark.parametrize("s, rho_u", [(20.0, 0.5), (50.0, 0.0), (1000.0, 1.0)])
     def test_infimum_is_minimize_objective_at_winning_alpha(self, s, rho_u):
         # The alpha search reuses its main-pass solve and runs only the band
         # pass at the winner; the result must be the standalone solve's.
-        w_q = reduction_w_q(s)
+        w_q = required_w_q(0.5, s)
         opts = SearchOptions(tu_points=201, tq_points=121)
         result = query_exponent_lower_bound(w_q, 0.5, rho_u, opts=opts, alpha_points=41)
         assert result.infimum == minimize_objective(w_q, 0.5, result.alpha, opts)
@@ -237,7 +240,7 @@ class TestPinnedCurve:
             0.9294686566208912,
         ]
         for s, expected in zip(np.geomspace(20.0, 10_000.0, 5), recorded):
-            got = query_exponent_lower_bound(reduction_w_q(float(s)), 0.5, 0.5).rho_q
+            got = query_exponent_lower_bound(required_w_q(0.5, float(s)), 0.5, 0.5).rho_q
             assert got == pytest.approx(expected, abs=1e-8), f"s={s}"
 
     def test_reduced_options_at_s50(self):
@@ -247,7 +250,7 @@ class TestPinnedCurve:
             0.5: 0.7324508918493748,
             1.0: 0.5950571273169263,
         }
-        w_q = reduction_w_q(50.0)
+        w_q = required_w_q(0.5, 50.0)
         opts = SearchOptions(tu_points=201, tq_points=121)
         for rho_u, expected in recorded.items():
             got = query_exponent_lower_bound(w_q, 0.5, rho_u, opts=opts, alpha_points=41)
@@ -297,7 +300,7 @@ class TestInfimumOracle:
     @pytest.mark.parametrize(
         "w_q, alpha",
         [
-            (reduction_w_q(20.0), 0.722491),
+            (required_w_q(0.5, 20.0), 0.722491),
             (1e-3, 1.0 + 1.0 / math.log(1e-3)),
             (0.2, 0.3),
             # At alpha = 1 the inner minimum sits on the t_q = 0 edge for
@@ -313,14 +316,17 @@ class TestInfimumOracle:
         from hude.tradeoff import _inner_tq
 
         rng = np.random.default_rng(13)
+        points = []
         for _ in range(300):
             w_q = float(rng.uniform(1e-4, 0.3))
             w_u = float(rng.uniform(w_q + 0.05, 0.95))
             alpha = float(rng.choice([rng.uniform(0.0, 1.0), 1.0]))
-            u = np.asarray([rng.uniform(1e-3, 1.0)])
-            expected = float(_inner_tq_bisection(u, w_q, w_u, alpha)[0])
-            got = _inner_tq(float(u[0]), w_q, w_u, alpha)
-            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+            points.append((rng.uniform(1e-3, 1.0), w_q, w_u, alpha))
+        # The reference bisects every point at once, elementwise.
+        columns = np.asarray(points).T
+        expected = _inner_tq_bisection(*columns)
+        got = [_inner_tq(*point) for point in points]
+        assert got == pytest.approx(expected.tolist(), rel=1e-12, abs=0.0)
 
     def test_polish_from_coarse_point_reaches_scan_plus_golden(self):
         # Here the golden search lands within about 1e-12 of a window edge
@@ -337,7 +343,7 @@ class TestInfimumOracle:
             _tu_axis,
         )
 
-        w_q, w_u, alpha = reduction_w_q(20.0), 0.5, 0.722491
+        w_q, w_u, alpha = required_w_q(0.5, 20.0), 0.5, 0.722491
         opts = SearchOptions()
         coarse = _grid_minimizer(
             _tq_axis(w_q, opts.tq_points), _tu_axis(w_u, opts.tu_points), w_q, w_u
@@ -381,8 +387,7 @@ class TestClosedFormCurves:
             analytic_lower_bound(2.0, 0.5)
 
     def test_reduction_density_consistency(self):
-        assert reduction_w_q(50.0) == required_w_q(0.5, 50.0)
-        assert reduction_w_q(50.0) == pytest.approx(0.0196053, abs=1e-7)
+        assert required_w_q(0.5, 50.0) == pytest.approx(0.0196053, abs=1e-7)
 
     def test_upper_exact_below_simplified(self):
         for s in (2.0, 10.0, 100.0, 10_000.0):
@@ -421,12 +426,8 @@ class TestEntropyGap:
         assert np.max(np.abs(entropy_gap(xs) - kl_binary(xs, 0.5))) <= 1e-12
 
     def test_boundary_limit_flagged(self):
-        value, flag = entropy_gap(0.0, return_boundary=True)
-        assert value == pytest.approx(LOG2) and flag
-        value, flag = entropy_gap(1.0, return_boundary=True)
-        assert value == pytest.approx(LOG2) and flag
-        _, flag = entropy_gap(0.3, return_boundary=True)
-        assert not flag
+        assert entropy_gap(0.0) == pytest.approx(LOG2)
+        assert entropy_gap(1.0) == pytest.approx(LOG2)
 
 
 class TestCurveEmission:
@@ -437,7 +438,7 @@ class TestCurveEmission:
         for row in rows:
             assert 0.0 <= row.rho_q <= 1.0
             assert row.inv_s == pytest.approx(1.0 / row.s)
-            assert row.w_q == pytest.approx(reduction_w_q(row.s))
+            assert row.w_q == pytest.approx(required_w_q(0.5, row.s))
 
     def test_csv_round_trip(self, tmp_path):
         opts = SearchOptions(tu_points=201, tq_points=121)
