@@ -20,7 +20,7 @@ import numpy as np
 from .distributions import Dataset, OpCounter, QueryMultiset, random_fixed_size_supports
 from .elimination import eliminate
 from .rng import stream_key, substream
-from .subset_index import IndexParams, preprocess, query
+from .subset_index import MAX_PROBES, VARIANT_UJ_CERTIFY, IndexParams, preprocess, query
 
 SWEEP_PARAMS = ("k", "n", "S", "ell")
 
@@ -44,7 +44,7 @@ class ExperimentConfig:
     queries_per_point: int = 100
     L_init: int = 200
     L_factor: float = 1.5
-    L_cap: int = 10_000_000
+    L_cap: int = MAX_PROBES
     seed: int = 0
     variant: str = "bucket-eliminate"
     epsilon: float = 1.0  # certify-variant budget only; the data is promise-free
@@ -174,7 +174,9 @@ def _run_subset_once(
     total_ns = 0
     for qid, (truth, sample) in enumerate(queries):
         counter = OpCounter()
-        rng = substream(seed, "bench-certify", point_id, params.num_probes, qid)
+        rng = None  # only uj-certify draws candidates, so only it gets a generator
+        if params.variant == VARIANT_UJ_CERTIFY:
+            rng = substream(seed, "bench-certify", point_id, params.num_probes, qid)
         start = time.perf_counter_ns()
         result = query(index, sample, epsilon, counter, rng=rng)
         total_ns += time.perf_counter_ns() - start

@@ -45,6 +45,17 @@ def _parse_grid(spec: str) -> list[float]:
     )
 
 
+def _parse_values(spec: str) -> list[int]:
+    """``bench --values``: comma-separated integers (their range is the config's rule)."""
+    values = []
+    for token in spec.split(","):
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise ValueError(f"--values entry {token!r} is not an integer") from None
+    return values
+
+
 # Generator parameter -> (its ``gen`` flag, help); FAMILIES says who uses it.
 _GEN_FLAGS = {
     "s": ("--s", "sample-ratio parameter"),
@@ -192,7 +203,7 @@ def _cmd_bench(args) -> int:
             payload = json.load(fh)
     flags = {
         "sweep_param": args.sweep,
-        "sweep_values": [int(v) for v in args.values.split(",")] if args.values else None,
+        "sweep_values": _parse_values(args.values) if args.values else None,
         "seed": args.seed,
         "scale": args.scale,
         "queries_per_point": args.queries,

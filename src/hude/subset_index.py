@@ -28,6 +28,7 @@ from .rng import keyed_uniform, mix64, stream_key
 VARIANT_BUCKET_ELIMINATE = "bucket-eliminate"
 VARIANT_UJ_CERTIFY = "uj-certify"
 _VARIANTS = (VARIANT_BUCKET_ELIMINATE, VARIANT_UJ_CERTIFY)
+MAX_PROBES = 10_000_000  # theoretical_params' limit, the adaptive search's default cap
 
 
 @dataclass(frozen=True)
@@ -248,7 +249,8 @@ def theoretical_params(
     L = c * base^ell for base = 2/(1 - e^{-2/s}), floored to an integer and
     clamped to at least 1 (``clamped`` flags the degenerate case).  The
     predicted query exponent is :func:`~hude.tradeoff.upper_exponent`,
-    1 + rho_u * log(1 - epsilon/2) / log(base), floored at 0.
+    1 + rho_u * log(1 - epsilon/2) / log(base), floored at 0.  A probe count
+    above :data:`MAX_PROBES` raises ValueError rather than being allocated.
     """
     from .tradeoff import upper_exponent
 
@@ -266,9 +268,12 @@ def theoretical_params(
     try:
         num_probes = math.ceil(c * k**rho_u)
     except OverflowError:
+        num_probes = math.inf
+    if num_probes > MAX_PROBES:
         raise ValueError(
-            f"probe count c * k**rho_u overflows (c={c!r}, rho_u={rho_u!r}, k={k})"
-        ) from None
+            f"probe count c * k**rho_u = {float(num_probes):.3g} exceeds {MAX_PROBES:,} "
+            f"(c={c!r}, rho_u={rho_u!r}, k={k})"
+        )
     return TheoreticalChoice(
         IndexParams(num_probes, ell, c_query=c_query, variant=variant),
         predicted,

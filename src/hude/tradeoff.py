@@ -255,29 +255,61 @@ def _objective_scalar(t_q: float, t_u: float, w_q: float, w_u: float, alpha: flo
     return (alpha * gap_q + (1.0 - alpha) * gap_u) / d_u
 
 
-def _golden_min(fun, lo: float, hi: float, iters: int = 80, xtol: float = 0.0):
-    """Golden-section minimum of a unimodal scalar function on [lo, hi].
+def _brent_min(fun, lo: float, hi: float, xtol: float):
+    """Brent's minimum of a unimodal scalar function on [lo, hi].
 
-    One new evaluation per step; stops once the bracket is narrower than
-    xtol or than 1e-14 relative.
+    Golden-section steps, replaced by the vertex of the parabola through the
+    three best points whenever that lies inside the bracket and moves less
+    than half the step before last.  Every evaluation lies strictly inside
+    (lo, hi), at least xtol/2 from the current best point.  Returns (x, fun(x))
+    once the bracket around x is within xtol of it on both sides, so x lies
+    within xtol of the minimizer.
     """
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    cgold = (3.0 - math.sqrt(5.0)) / 2.0
     a, b = lo, hi
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(iters):
-        if b - a <= max(xtol, 1e-14 * max(abs(a), abs(b), 1e-12)):
-            break
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = fun(x1)
+    x = w = v = a + cgold * (b - a)
+    fx = fw = fv = fun(x)
+    d = e = 0.0
+    while True:
+        tol = max(0.5 * xtol, 4e-16 * abs(x))  # never below float resolution at x
+        mid = 0.5 * (a + b)
+        if max(x - a, b - x) <= 2.0 * tol:
+            return x, fx
+        golden = True
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
+                golden = False
+                d = p / q
+                if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                    d = tol if x < mid else -tol
+        if golden:
+            e = (a if x >= mid else b) - x
+            d = cgold * e
+        u = x + d if abs(d) >= tol else x + math.copysign(tol, d)
+        fu = fun(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = fun(x2)
-    return (x1, f1) if f1 < f2 else (x2, f2)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def _tq_slope(t_q: float, t_u: float, w_q: float, w_u: float, alpha: float) -> float:
@@ -335,12 +367,14 @@ def _polish(
     band: float,
     tu_bounds: tuple[float, float],
 ):
-    """Polish the grid minimizer: exact inner t_q solve, golden outer t_u search.
+    """Polish the grid minimizer: exact inner t_q solve, Brent outer t_u search.
 
-    Solves the 1-D problem min_u F(_inner_tq(u), u).  Stays on the side of
-    the excluded band that the grid phase selected; the window around t_u
-    doubles while the outer minimum pins to one of its edges (within a
-    millionth of its width) that is not also a bound of that side.
+    Solves the 1-D problem min_u F(_inner_tq(u), u) to 1e-9 relative in t_u
+    (the value is quadratic at the minimum, so that error barely moves it).
+    Stays on the side of the excluded band that the grid phase selected; the
+    window around t_u doubles while the outer minimum pins to one of its
+    edges (within a millionth of its width) that is not also a bound of that
+    side.
     """
     lo_u, hi_u = tu_bounds
     side_lo, side_hi = (lo_u, w_u - band) if t_u < w_u else (w_u + band, hi_u)
@@ -357,7 +391,7 @@ def _polish(
         hi = min(best_u + width, side_hi)
         if lo >= hi:
             break
-        x, fx = _golden_min(outer, lo, hi)
+        x, fx = _brent_min(outer, lo, hi, xtol=1e-9 * hi)
         if fx < value:
             value, best_u = fx, x
         tol = 1e-6 * (hi - lo)
@@ -441,8 +475,8 @@ def query_exponent_lower_bound(
     The alpha grid always contains 1 + 1/log(w_q) (the theoretically
     motivated weight) when it lies in (0, 1).  The bound is evaluated on the
     coarse (t_q, t_u) grid at every grid alpha; the infimum is solved exactly
-    only at the coarse maximizer and its two neighbours on each side, and a
-    golden-section pass refines the bracket around the best of those.  The
+    only at the coarse maximizer and its two neighbours on each side, and
+    Brent's method refines the bracket around the best of those to 1e-6.  The
     band pass runs once, at the winning alpha.  The result is clamped to
     [0, 1].
     """
@@ -476,7 +510,7 @@ def query_exponent_lower_bound(
     for alpha in order[max(pos - 2, 0) : pos + 3]:
         negated_bound(alpha)
     pos = order.index(max(solves, key=bound))
-    _golden_min(
+    _brent_min(
         negated_bound, order[max(pos - 1, 0)], order[min(pos + 1, len(order) - 1)], xtol=1e-6
     )
     best_alpha = max(solves, key=bound)

@@ -349,6 +349,35 @@ class TestRunSweep:
                 b.mean_ops,
             )
 
+    def test_only_the_certify_variant_builds_query_generators(self, monkeypatch):
+        # The uj-certify rows were recorded when every variant built one
+        # generator per query; bucket-eliminate never reads one.
+        import hude.bench as bench
+
+        built = []
+        real = bench.substream
+
+        def counted(seed, *tags):
+            built.append(tags[0])
+            return real(seed, *tags)
+
+        monkeypatch.setattr(bench, "substream", counted)
+        config = ExperimentConfig(
+            sweep_param="k", sweep_values=(150, 300), n=64, S=30, ell=2,
+            queries_per_point=12, seed=11, variant="uj-certify",
+        )
+        rows = [(r.algorithm, r.k, r.L, r.accuracy, r.mean_ops) for r in run_sweep(config)]
+        assert rows == [
+            ("elimination", 150, None, 1.0, 319.6666666666667),
+            ("subset", 150, 200, 1.0, 72.0),
+            ("elimination", 300, None, 1.0, 648.5),
+            ("subset", 300, 200, 1.0, 107.0),
+        ]
+        assert built.count("bench-certify") == 2 * 12  # one adaptive step per point
+        built.clear()
+        run_sweep(replace(config, variant="bucket-eliminate"))
+        assert built and "bench-certify" not in built
+
     def test_scale_factor_applies_to_k(self):
         config = ExperimentConfig(
             sweep_param="S", sweep_values=(30,), k=500, n=64, ell=2,

@@ -104,6 +104,18 @@ class TestQuery:
         assert payload["outcome"] in ("found", "not_found")
         assert payload["ops"] > 0
 
+    def test_probe_count_above_the_cap_is_a_clean_error(self, tmp_path, capsys):
+        # L = 5 * 20**8 = 1.28e11 probes would need about 1 TB of probe matrix.
+        out = tmp_path / "inst"
+        main(_gen_args(out))
+        rc = _main_within(["query", "--instance", str(out), "--algorithm", "subset",
+                           "--rho-u", "8"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert ("probe count c * k**rho_u = 1.28e+11 exceeds 10,000,000 "
+                "(c=5.0, rho_u=8.0, k=20)") in captured.err
+        assert captured.out == ""
+
     def test_gapss_instances_are_rejected(self, tmp_path):
         out = tmp_path / "inst"
         main(_gen_args(out, "gapss"))
@@ -242,6 +254,16 @@ class TestBench:
         out = tmp_path / "rows.csv"
         assert main(["bench", "--config", str(config), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values", ["2.5", "abc", "100,2.5"])
+    def test_non_integer_sweep_value_names_the_flag(self, tmp_path, capsys, values):
+        out = tmp_path / "rows.csv"
+        assert main(["bench", "--sweep", "k", "--values", values, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        bad = values.split(",")[-1]
+        assert f"--values entry {bad!r} is not an integer" in err
+        assert "invalid literal" not in err
         assert not out.exists()
 
     def test_unit_probe_factor_is_a_clean_error(self, tmp_path, src_path):

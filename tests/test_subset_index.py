@@ -18,6 +18,7 @@ from hude.distributions import (
 from hude.instances import gen_hude
 from hude.rng import substream
 from hude.subset_index import (
+    MAX_PROBES,
     IndexParams,
     SubsetIndex,
     dump_index,
@@ -301,6 +302,13 @@ class TestTheoreticalParams:
         assert choice.predicted_rho_q == max(0.0, upper_exponent(50.0, rho_u, epsilon))
         if rho_u == 0.0:
             assert choice.predicted_rho_q == 1.0
+
+    def test_probe_count_cap(self):
+        # c * k**rho_u = 10**7 exactly is allowed; one more probe is not.
+        assert theoretical_params(1.0, 50.0, 10**6, 1.0, c=10.0).params.num_probes == MAX_PROBES
+        message = r"exceeds 10,000,000 \(c=10.0, rho_u=1.0, k=1000001\)"
+        with pytest.raises(ValueError, match=message):
+            theoretical_params(1.0, 50.0, 10**6 + 1, 1.0, c=10.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -296,6 +296,31 @@ def _dense_outer_scan(w_q, w_u, alpha, points=20_001):
     return float(values[best]), float(u[best])
 
 
+def _golden_min(fun, lo, hi, iters=80):
+    """Golden-section minimum of a unimodal scalar function on [lo, hi].
+
+    A reference independent of the solver's Brent search: one new evaluation
+    per step, stopping once the bracket is narrower than 1e-14 relative.
+    """
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    x1 = b - phi * (b - a)
+    x2 = a + phi * (b - a)
+    f1, f2 = fun(x1), fun(x2)
+    for _ in range(iters):
+        if b - a <= 1e-14 * max(abs(a), abs(b), 1e-12):
+            break
+        if f1 < f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - phi * (b - a)
+            f1 = fun(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + phi * (b - a)
+            f2 = fun(x2)
+    return (x1, f1) if f1 < f2 else (x2, f2)
+
+
 class TestInfimumOracle:
     @pytest.mark.parametrize(
         "w_q, alpha",
@@ -334,7 +359,6 @@ class TestInfimumOracle:
         # and widen the window.
         from hude.tradeoff import (
             _EXCLUDE_BAND,
-            _golden_min,
             _grid_minimizer,
             _inner_tq,
             _objective_scalar,
@@ -357,6 +381,53 @@ class TestInfimumOracle:
         _, reference = _golden_min(outer, u_scan - 1e-4, u_scan + 1e-4)
         assert abs(value - reference) <= 1e-12
         assert t_u == pytest.approx(0.887873, abs=1e-6)
+
+
+class TestSearchBudget:
+    @given(
+        lo=st.floats(-10.0, 10.0),
+        width=st.floats(1e-3, 10.0),
+        where=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        power=st.sampled_from([1, 2, 4]),
+        rel_tol=st.floats(1e-10, 1e-3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_brent_stays_in_bracket_and_meets_tolerance(self, lo, width, where, power, rel_tol):
+        # Unimodal |x - c|^p with the minimum anywhere in the bracket,
+        # including either end, where the search can only approach it.
+        from hude.tradeoff import _brent_min
+
+        hi = lo + width
+        c = hi if where == 1.0 else lo + where * width
+        xtol = rel_tol * width
+        seen = []
+
+        def fun(x):
+            seen.append(x)
+            return abs(x - c) ** power
+
+        x, fx = _brent_min(fun, lo, hi, xtol)
+        assert all(lo <= u <= hi for u in seen)
+        assert abs(x - c) <= xtol
+        assert fx == abs(x - c) ** power
+
+    @pytest.mark.parametrize("s", np.geomspace(20.0, 10_000.0, 5).tolist())
+    def test_inner_solves_per_benchmark_point(self, s, monkeypatch):
+        # One numeric-lop point on the benchmark grid (rho_u = 1/2) needs at
+        # most 1,000 inner t_q solves; a golden t_u search to 1e-14 relative
+        # made 1,644 to 3,389.
+        import hude.tradeoff as tradeoff
+
+        inner = tradeoff._inner_tq
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(tradeoff, "_inner_tq", counted)
+        query_exponent_lower_bound(required_w_q(0.5, s), 0.5, 0.5)
+        assert len(calls) <= 1_000
 
 
 class TestClosedFormCurves:
