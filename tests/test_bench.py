@@ -378,6 +378,21 @@ class TestRunSweep:
         run_sweep(replace(config, variant="bucket-eliminate"))
         assert built and "bench-certify" not in built
 
+    def test_bucket_eliminate_rows_are_pinned(self):
+        # Recorded at the same config as the uj-certify rows above; every
+        # field but the wall time.
+        config = ExperimentConfig(
+            sweep_param="k", sweep_values=(150, 300), n=64, S=30, ell=2,
+            queries_per_point=12, seed=11,
+        )
+        rows = [replace(r, mean_time_ns=0.0) for r in run_sweep(config)]
+        assert rows == [
+            ResultRow("elimination", 150, 64, 30, 2, None, 1.0, 319.6666666666667, 0.0, 11),
+            ResultRow("subset", 150, 64, 30, 2, 200, 1.0, 91.66666666666667, 0.0, 11),
+            ResultRow("elimination", 300, 64, 30, 2, None, 1.0, 648.5, 0.0, 11),
+            ResultRow("subset", 300, 64, 30, 2, 200, 1.0, 196.08333333333334, 0.0, 11),
+        ]
+
     def test_scale_factor_applies_to_k(self):
         config = ExperimentConfig(
             sweep_param="S", sweep_values=(30,), k=500, n=64, ell=2,
