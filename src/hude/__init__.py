@@ -21,7 +21,7 @@ from .distributions import (
     load_dataset,
     save_dataset,
 )
-from .elimination import EliminationResult, eliminate
+from .elimination import QueryResult, eliminate
 from .instances import (
     GapssInstance,
     GenerationError,
@@ -39,7 +39,6 @@ from .instances import (
 )
 from .subset_index import (
     IndexParams,
-    QueryResult,
     SubsetIndex,
     TheoreticalChoice,
     dump_index,

@@ -14,6 +14,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -138,53 +139,31 @@ def generate_point(
     return data, queries
 
 
+def _score(queries: list[tuple[int, QueryMultiset]], answer) -> tuple[float, float, float]:
+    """(accuracy, mean_ops, mean_time_ns) of one algorithm over ``queries``.
+
+    ``answer(qid, sample, counter)`` prepares query ``qid`` and returns the
+    call to time, with no arguments; only that call is inside the timer.
+    """
+    correct = total_ops = total_ns = 0
+    for qid, (truth, sample) in enumerate(queries):
+        counter = OpCounter()
+        call = answer(qid, sample, counter)
+        start = time.perf_counter_ns()
+        result = call()
+        total_ns += time.perf_counter_ns() - start
+        total_ops += counter.membership_ops
+        correct += result.found and result.index == truth
+    count = len(queries)
+    return correct / count, total_ops / count, total_ns / count
+
+
 def run_elimination(
     data: Dataset, queries: list[tuple[int, QueryMultiset]]
 ) -> tuple[float, float, float]:
     """(accuracy, mean_ops, mean_time_ns) of the baseline over the full dataset."""
-    correct = 0
-    total_ops = 0
-    total_ns = 0
     candidates = np.arange(data.k)
-    for truth, sample in queries:
-        counter = OpCounter()
-        start = time.perf_counter_ns()
-        result = eliminate(data, candidates, sample, counter)
-        total_ns += time.perf_counter_ns() - start
-        total_ops += counter.membership_ops
-        if result.outcome == "found" and result.index == truth:
-            correct += 1
-    count = len(queries)
-    return correct / count, total_ops / count, total_ns / count
-
-
-def _run_subset_once(
-    data: Dataset,
-    queries: list[tuple[int, QueryMultiset]],
-    params: IndexParams,
-    epsilon: float,
-    seed: int,
-    point_id: int,
-) -> tuple[float, float, float]:
-    index = preprocess(
-        data, params, stream_key(seed, "bench-preprocess", point_id, params.num_probes)
-    )
-    correct = 0
-    total_ops = 0
-    total_ns = 0
-    for qid, (truth, sample) in enumerate(queries):
-        counter = OpCounter()
-        rng = None  # only uj-certify draws candidates, so only it gets a generator
-        if params.variant == VARIANT_UJ_CERTIFY:
-            rng = substream(seed, "bench-certify", point_id, params.num_probes, qid)
-        start = time.perf_counter_ns()
-        result = query(index, sample, epsilon, counter, rng=rng)
-        total_ns += time.perf_counter_ns() - start
-        total_ops += counter.membership_ops
-        if result.found and result.index == truth:
-            correct += 1
-    count = len(queries)
-    return correct / count, total_ops / count, total_ns / count
+    return _score(queries, lambda _, sample, c: partial(eliminate, data, candidates, sample, c))
 
 
 def adaptive_L_search(
@@ -205,9 +184,16 @@ def adaptive_L_search(
     L = config.L_init
     while L <= config.L_cap:
         params = IndexParams(L, ell, c_query=config.c_query, variant=config.variant)
-        accuracy, mean_ops, mean_ns = _run_subset_once(
-            data, queries, params, config.epsilon, config.seed, point_id
-        )
+        index = preprocess(data, params, stream_key(config.seed, "bench-preprocess", point_id, L))
+
+        def answer(qid, sample, counter):
+            rng = None  # only uj-certify draws candidates, so only it gets a generator
+            if params.variant == VARIANT_UJ_CERTIFY:
+                rng = substream(config.seed, "bench-certify", point_id, L, qid)
+            return partial(query, index, sample, config.epsilon, counter, rng=rng)
+
+        accuracy, mean_ops, mean_ns = _score(queries, answer)
+        del index  # free this index before the next, larger one is built
         trace.append((L, accuracy))
         if accuracy == 1.0:
             return L, trace, (accuracy, mean_ops, mean_ns)

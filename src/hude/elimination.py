@@ -15,7 +15,7 @@ would count it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,10 +23,16 @@ from .distributions import Dataset, OpCounter, QueryMultiset
 
 
 @dataclass(frozen=True)
-class EliminationResult:
-    outcome: str  # "found" | "ambiguous" | "exhausted"
+class QueryResult:
+    """Answer of ``eliminate`` and of the subset index's ``query``."""
+
+    outcome: str  # "found" | "not_found" | "ambiguous" | "exhausted"
     index: int | None = None
-    survivors: tuple[int, ...] = field(default_factory=tuple)
+    survivors: tuple[int, ...] = ()
+
+    @property
+    def found(self) -> bool:
+        return self.outcome == "found"
 
 
 def eliminate(
@@ -34,7 +40,7 @@ def eliminate(
     candidates: np.ndarray,
     query: QueryMultiset,
     counter: OpCounter,
-) -> EliminationResult:
+) -> QueryResult:
     """Run the elimination pass over distinct dataset indices ``candidates``.
 
     Each sample is charged one op per candidate alive before it.  A block
@@ -54,7 +60,7 @@ def eliminate(
     if np.count_nonzero(bits) != candidates.size:
         raise ValueError("candidate list contains duplicates")
     if candidates.size == 1:
-        return EliminationResult("found", int(candidates[0]))
+        return QueryResult("found", int(candidates[0]))
     alive = np.packbits(bits).view(np.uint64)
     alive_count = candidates.size
     order = query.order
@@ -75,11 +81,11 @@ def eliminate(
             r = int(decided[0]) + 1
             counter.add(int(counts[:r].sum()))
             if counts[r] == 0:
-                return EliminationResult("exhausted")
+                return QueryResult("exhausted")
             byte = int(block[r].argmax())  # the one nonzero byte
-            return EliminationResult("found", byte * 8 + 8 - int(block[r, byte]).bit_length())
+            return QueryResult("found", byte * 8 + 8 - int(block[r, byte]).bit_length())
         counter.add(int(counts[:-1].sum()))
         alive = rows[-1].copy()
         alive_count = int(counts[-1])
     survivors = np.flatnonzero(np.unpackbits(alive.view(np.uint8)).view(bool))
-    return EliminationResult("ambiguous", None, tuple(survivors.tolist()))
+    return QueryResult("ambiguous", None, tuple(survivors.tolist()))

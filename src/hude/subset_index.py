@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Dataset, OpCounter, QueryMultiset
-from .elimination import eliminate
+from .elimination import QueryResult, eliminate
 from .rng import keyed_uniform, mix64, stream_key
 
 VARIANT_BUCKET_ELIMINATE = "bucket-eliminate"
@@ -49,16 +49,6 @@ class IndexParams:
             raise ValueError(f"c_query must be finite and positive (got {self.c_query!r})")
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown query variant {self.variant!r}")
-
-
-@dataclass(frozen=True)
-class QueryResult:
-    outcome: str  # "found" | "not_found"
-    index: int | None = None
-
-    @property
-    def found(self) -> bool:
-        return self.outcome == "found"
 
 
 def sample_probes(seed: int, count: int, size: int, n: int) -> np.ndarray:
@@ -214,8 +204,8 @@ def query(
                 continue
             if variant == VARIANT_BUCKET_ELIMINATE:
                 result = eliminate(data, bucket, q, counter)
-                if result.outcome == "found":
-                    return QueryResult("found", result.index)
+                if result.found:
+                    return result
             else:
                 for j in bucket.tolist():
                     if _certify_candidate(data, j, pool, cap, counter, rng):

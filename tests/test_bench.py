@@ -32,7 +32,7 @@ from test_subset_index import _masks
 def _reference_eliminate(data, candidates, sample, counter):
     """Literal sample-by-sample elimination over unmetered Python loops.
 
-    Returns (outcome, index, survivors), the fields of ``EliminationResult``.
+    Returns (outcome, index, survivors), the fields of ``QueryResult``.
     """
     alive = list(candidates)
     if len(alive) == 1:
