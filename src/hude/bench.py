@@ -21,7 +21,14 @@ import numpy as np
 from .distributions import Dataset, OpCounter, QueryMultiset, random_fixed_size_supports
 from .elimination import eliminate
 from .rng import stream_key, substream
-from .subset_index import MAX_PROBES, VARIANT_UJ_CERTIFY, IndexParams, preprocess, query
+from .subset_index import (
+    MAX_PROBES,
+    VARIANT_BUCKET_ELIMINATE,
+    VARIANT_UJ_CERTIFY,
+    IndexParams,
+    preprocess,
+    query,
+)
 
 SWEEP_PARAMS = ("k", "n", "S", "ell")
 
@@ -47,7 +54,7 @@ class ExperimentConfig:
     L_factor: float = 1.5
     L_cap: int = MAX_PROBES
     seed: int = 0
-    variant: str = "bucket-eliminate"
+    variant: str = VARIANT_BUCKET_ELIMINATE
     epsilon: float = 1.0  # certify-variant budget only; the data is promise-free
     c_query: float = 4.0
     scale: float = 1.0  # multiplies k; 0.2 is the desk-scale preset
@@ -67,6 +74,10 @@ class ExperimentConfig:
                 raise ValueError(f"sweep value {value!r} for {self.sweep_param} must be {rule}")
         if not even and self.n % 2 != 0:
             raise ValueError(f"domain size n must be even for half-uniform supports (got {self.n})")
+        if self.L_cap > MAX_PROBES:
+            raise ValueError(f"L_cap must be at most {MAX_PROBES:,} (got {self.L_cap:,})")
+        if self.L_init > self.L_cap:
+            raise ValueError(f"L_init {self.L_init:,} exceeds L_cap {self.L_cap:,}")
         if not (math.isfinite(self.L_factor) and self.L_factor > 1):
             raise ValueError(f"L_factor must exceed 1 (got {self.L_factor!r}) and be finite")
         for name in ("epsilon", "c_query", "scale"):

@@ -21,7 +21,15 @@ from .distributions import OpCounter, write_rows
 from .elimination import eliminate
 from .instances import FAMILIES, GapssInstance, load_instance, save_instance
 from .rng import stream_key, substream
-from .subset_index import IndexParams, dump_index, preprocess, query, theoretical_params
+from .subset_index import (
+    VARIANT_BUCKET_ELIMINATE,
+    VARIANTS,
+    IndexParams,
+    dump_index,
+    preprocess,
+    query,
+    theoretical_params,
+)
 from .tradeoff import DEFAULT_CURVES, SearchOptions, tradeoff_rows
 from .verify import SUITES, run_suite
 
@@ -86,8 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     qry = sub.add_parser("query", help="run one algorithm against a stored instance")
     qry.add_argument("--instance", required=True, help="directory written by gen")
     qry.add_argument("--algorithm", required=True, choices=["subset", "elimination"])
-    qry.add_argument("--variant", choices=["bucket-eliminate", "uj-certify"],
-                     default="bucket-eliminate")
+    qry.add_argument("--variant", choices=VARIANTS, default=VARIANT_BUCKET_ELIMINATE)
     qry.add_argument("--ell", type=int, help="probe size (subset)")
     qry.add_argument("--num-probes", type=int, help="probe count L (subset)")
     qry.add_argument("--rho-u", type=float,
@@ -106,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--out", required=True, help="results CSV path")
     ben.add_argument("--scale", type=float, help="multiply k by this factor (0.2 = desk preset)")
     ben.add_argument("--queries", type=int, help="queries per sweep point")
-    ben.add_argument("--variant", choices=["bucket-eliminate", "uj-certify"])
+    ben.add_argument("--variant", choices=VARIANTS)
     ben.add_argument("--L-init", type=int, dest="L_init")
     ben.add_argument("--L-factor", type=float, dest="L_factor")
     ben.add_argument("--L-cap", type=int, dest="L_cap")
@@ -149,7 +156,7 @@ def _cmd_gen(args) -> int:
 def _cmd_query(args) -> int:
     instance = load_instance(args.instance)
     if isinstance(instance, GapssInstance):
-        _log("query runs on sample-based instances; reduce gapss first")
+        _log("query runs on sample-based instances; reduce gapss with hude.reduce_gapss_to_urde")
         return 2
     counter = OpCounter()
     epsilon = args.eps if args.eps is not None else getattr(instance, "epsilon", 1.0)

@@ -27,8 +27,8 @@ from .rng import keyed_uniform, mix64, stream_key
 
 VARIANT_BUCKET_ELIMINATE = "bucket-eliminate"
 VARIANT_UJ_CERTIFY = "uj-certify"
-_VARIANTS = (VARIANT_BUCKET_ELIMINATE, VARIANT_UJ_CERTIFY)
-MAX_PROBES = 10_000_000  # theoretical_params' limit, the adaptive search's default cap
+VARIANTS = (VARIANT_BUCKET_ELIMINATE, VARIANT_UJ_CERTIFY)
+MAX_PROBES = 10_000_000  # largest index; also the adaptive search's default cap
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,13 @@ class IndexParams:
     def __post_init__(self) -> None:
         if self.num_probes < 1:
             raise ValueError("need at least one probe")
+        if self.num_probes > MAX_PROBES:
+            raise ValueError(f"num_probes must be at most {MAX_PROBES:,} (got {self.num_probes:,})")
         if self.probe_size < 0:
             raise ValueError("probe size cannot be negative")
         if not (math.isfinite(self.c_query) and self.c_query > 0):
             raise ValueError(f"c_query must be finite and positive (got {self.c_query!r})")
-        if self.variant not in _VARIANTS:
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown query variant {self.variant!r}")
 
 
@@ -121,8 +123,6 @@ class SubsetIndex:
 
 def preprocess(data: Dataset, params: IndexParams, seed: int) -> SubsetIndex:
     """Sample probes; each bucket mask is the AND of its probe's packed columns."""
-    if params.probe_size > data.n:
-        raise ValueError("probe size cannot exceed the domain size")
     probes = sample_probes(seed, params.num_probes, params.probe_size, data.n)
     if params.probe_size == 0:
         everyone = np.packbits(np.ones(data.k, dtype=bool))
@@ -221,7 +221,6 @@ class TheoreticalChoice:
     params: IndexParams
     predicted_rho_q: float
     clamped: bool
-    base: float  # 2 / (1 - e^{-2/s})
 
 
 def theoretical_params(
@@ -268,7 +267,6 @@ def theoretical_params(
         IndexParams(num_probes, ell, c_query=c_query, variant=variant),
         predicted,
         clamped,
-        base,
     )
 
 

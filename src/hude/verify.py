@@ -173,18 +173,22 @@ def _check_truth_containment() -> str | None:
 
 
 def _check_elimination_monotone() -> str | None:
+    # One sample at a time, each charged the candidates alive before it,
+    # stopping at the first sample that leaves at most one.
     inst = instances.gen_hude(80, 25, 0.5, 4.0, seed=61)
-    counter = distributions.OpCounter()
-    sizes = []
     alive = np.arange(inst.dataset.k)
     matrix = inst.dataset.matrix
+    charge = 0
     for element in inst.query.order.tolist():
+        charge += alive.size
         alive = alive[matrix[alive, element]]
-        sizes.append(alive.size)
-    if any(b > a for a, b in zip(sizes, sizes[1:])):
-        return "alive-set size increased"
+        if alive.size <= 1:
+            break
+    counter = distributions.OpCounter()
     result = elimination.eliminate(inst.dataset, np.arange(inst.dataset.k), inst.query, counter)
-    if result.outcome == "found" and result.index != inst.truth_index:
+    if counter.membership_ops != charge:
+        return f"eliminate charged {counter.membership_ops} ops, the one-sample loop {charge}"
+    if result.found and result.index != inst.truth_index:
         return "eliminated down to a wrong candidate"
     if result.outcome == "exhausted":
         return "the truth was eliminated"

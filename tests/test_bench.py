@@ -25,7 +25,7 @@ from hude.bench import (
 from hude.distributions import Dataset, OpCounter, QueryMultiset, contains, read_rows, write_rows
 from hude.elimination import eliminate
 from hude.rng import substream
-from hude.subset_index import IndexParams, SubsetIndex, preprocess, query
+from hude.subset_index import MAX_PROBES, IndexParams, SubsetIndex, preprocess, query
 from test_subset_index import _masks
 
 
@@ -464,6 +464,14 @@ class TestRunSweep:
         # count, so the adaptive search would never stop.
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(sweep_param="k", sweep_values=(10,), **{field: value})
+
+    def test_probe_count_range(self):
+        base = dict(sweep_param="k", sweep_values=(10,))
+        assert ExperimentConfig(**base, L_init=MAX_PROBES).L_cap == MAX_PROBES
+        with pytest.raises(ValueError, match="L_cap must be at most 10,000,000"):
+            ExperimentConfig(**base, L_cap=MAX_PROBES + 1)
+        with pytest.raises(ValueError, match="L_init 101 exceeds L_cap 100"):
+            ExperimentConfig(**base, L_init=101, L_cap=100)
 
     @pytest.mark.parametrize(
         "field, value",

@@ -116,10 +116,22 @@ class TestQuery:
                 "(c=5.0, rho_u=8.0, k=20)") in captured.err
         assert captured.out == ""
 
-    def test_gapss_instances_are_rejected(self, tmp_path):
+    def test_gapss_instances_are_rejected(self, tmp_path, capsys):
         out = tmp_path / "inst"
         main(_gen_args(out, "gapss"))
         assert main(["query", "--instance", str(out), "--algorithm", "elimination"]) == 2
+        assert "hude.reduce_gapss_to_urde" in capsys.readouterr().err
+
+    def test_num_probes_above_the_cap_is_a_clean_error(self, tmp_path, capsys):
+        # 2e9 probes of 3 elements would need about 15 GB before any check.
+        out = tmp_path / "inst"
+        main(_gen_args(out))
+        rc = _main_within(["query", "--instance", str(out), "--algorithm", "subset",
+                           "--ell", "3", "--num-probes", "2000000000"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "num_probes must be at most 10,000,000 (got 2,000,000,000)" in captured.err
+        assert captured.out == ""
 
     def test_missing_instance_dir_is_a_file_error(self, tmp_path):
         rc = main(["query", "--instance", str(tmp_path / "nope"),
@@ -266,6 +278,25 @@ class TestBench:
         assert "invalid literal" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--L-init", "1000000000", "--L-cap", "2000000000"],
+             "L_cap must be at most 10,000,000 (got 2,000,000,000)"),
+            (["--L-init", "500", "--L-cap", "100"], "L_init 500 exceeds L_cap 100"),
+        ],
+    )
+    def test_probe_count_flags_are_bounded(self, tmp_path, capsys, flags, message):
+        # Checked before the point is generated: nothing is scored or written.
+        out = tmp_path / "rows.csv"
+        rc = _main_within(["bench", "--sweep", "k", "--values", "100", *flags,
+                           "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "sweeping" not in err
+        assert not out.exists()
+
     def test_unit_probe_factor_is_a_clean_error(self, tmp_path, src_path):
         # Run in a child with a timeout: a factor of 1 used to loop forever.
         done = subprocess.run(
@@ -317,6 +348,8 @@ class TestTradeoff:
             ("--alpha-points", "1", "alpha_points must be at least 2 (got 1)"),
             ("--tu-points", "1", "grid sizes must be at least 2"),
             ("--tq-points", "0", "grid sizes must be at least 2"),
+            ("--tu-points", "100000000", "tu_points * tq_points must be at most 1,000,000"),
+            ("--alpha-points", "10000000", "alpha_points must be at most 10,001"),
         ],
     )
     def test_degenerate_search_flags_fail(self, tmp_path, capsys, flag, value, message):

@@ -168,6 +168,11 @@ class TestQuery:
         with pytest.raises(ValueError, match="c_query must be finite and positive"):
             theoretical_params(0.5, 50.0, 100, 1.0, c_query=c_query)
 
+    def test_num_probes_cap(self):
+        assert IndexParams(MAX_PROBES, 3).num_probes == MAX_PROBES
+        with pytest.raises(ValueError, match="num_probes must be at most 10,000,000"):
+            IndexParams(MAX_PROBES + 1, 3)
+
     def test_failed_bucket_continues_to_next_probe(self):
         # Probe 0 hits but its bucket holds two wrong candidates that the
         # stream exhausts; the scan must move on to probe 1, whose bucket
@@ -270,10 +275,6 @@ class TestFalseAccepts:
 
 
 class TestTheoreticalParams:
-    def test_base_value(self):
-        choice = theoretical_params(0.5, 50.0, 10_000, 1.0)
-        assert choice.base == pytest.approx(51.0066, abs=1e-3)
-
     def test_probe_count_follows_space_budget(self):
         choice = theoretical_params(0.5, 50.0, 10_000, 1.0)
         assert choice.params.num_probes == math.ceil(5.0 * 10_000**0.5)

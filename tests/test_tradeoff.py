@@ -383,6 +383,17 @@ class TestInfimumOracle:
         assert t_u == pytest.approx(0.887873, abs=1e-6)
 
 
+class TestSearchSizeCaps:
+    def test_grid_product_cap(self):
+        assert SearchOptions(tu_points=4149, tq_points=241)  # 999,909 grid points
+        with pytest.raises(ValueError, match=r"tu_points \* tq_points must be at most 1,000,000"):
+            SearchOptions(tu_points=1000, tq_points=1001)
+
+    def test_alpha_points_cap(self):
+        with pytest.raises(ValueError, match="alpha_points must be at most 10,001"):
+            query_exponent_lower_bound(required_w_q(0.5, 20.0), 0.5, 0.5, alpha_points=10_002)
+
+
 class TestSearchBudget:
     @given(
         lo=st.floats(-10.0, 10.0),
