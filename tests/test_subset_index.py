@@ -13,6 +13,7 @@ from hude.distributions import (
     Dataset,
     OpCounter,
     QueryMultiset,
+    random_bernoulli_supports,
     random_fixed_size_supports,
 )
 from hude.instances import gen_hude
@@ -95,6 +96,28 @@ class TestPreprocess:
             probe = index.probes[i]
             member = matrix[:, probe].all(axis=1)
             assert np.array_equal(np.flatnonzero(member), index.buckets[i])
+
+    # preprocess builds masks 64 probes per step: probe counts on, just
+    # below and just past a block edge, and past two blocks and 1,024.
+    @pytest.mark.parametrize("L", [1, 63, 64, 65, 129, 1025])
+    @given(
+        k=st.sampled_from([1, 7, 8, 9, 63, 64, 65, 130]),
+        ell=st.integers(0, 4),
+        n=st.integers(4, 24),
+        w=st.sampled_from([0.5, 0.8, 0.95]),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_masks_are_the_packed_and_of_probe_columns(self, L, k, ell, n, w, seed):
+        matrix = random_bernoulli_supports(k, n, w, substream(seed, "mask-prop"))
+        index = preprocess(Dataset(matrix), IndexParams(L, ell), seed=seed)
+        masks = index.masks
+        assert masks.shape == (L, -(-k // 8)) and masks.dtype == np.uint8
+        assert not masks.flags.writeable
+        for probe, mask in zip(index.probes, masks):
+            assert np.array_equal(mask, np.packbits(matrix[:, probe].all(axis=1)))
+        padding = np.unpackbits(masks, axis=1)[:, k:]
+        assert not padding.any()
 
     def test_mean_bucket_size_matches_hypergeometric_product(self):
         # E|bucket| = k * prod_{i<ell} (n/2 - i)/(n - i) for half supports.
