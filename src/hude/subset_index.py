@@ -75,9 +75,10 @@ def sample_probes(seed: int, count: int, size: int, n: int) -> np.ndarray:
     return selected
 
 
-# Probes whose masks are built per step, bounding the gathered temporary to
-# _PROBE_BLOCK * ceil(k/8) bytes; also the probes a query tests per step.
+# Probes a query tests against the sample set per step.
 _PROBE_BLOCK = 1024
+# Probes whose masks are ANDed per step; the temporary, 64 * ceil(k/8) bytes, fits in L2.
+_MASK_BLOCK = 64
 
 
 class SubsetIndex:
@@ -128,14 +129,12 @@ def preprocess(data: Dataset, params: IndexParams, seed: int) -> SubsetIndex:
         everyone = np.packbits(np.ones(data.k, dtype=bool))
         masks = np.tile(everyone, (params.num_probes, 1))
     else:
-        columns = data.columns
-        masks = np.empty((params.num_probes, columns.shape[1]), dtype=np.uint8)
-        for start in range(0, params.num_probes, _PROBE_BLOCK):
-            block = probes[start : start + _PROBE_BLOCK]
-            rows = masks[start : start + block.shape[0]]
-            np.take(columns, block[:, 0], axis=0, out=rows)
-            for elements in block[:, 1:].T:
-                rows &= columns[elements]
+        # A fresh gather, not np.take(out=), which numpy buffers (writes twice).
+        masks = data.columns[probes[:, 0]]
+        for start in range(0, params.num_probes, _MASK_BLOCK):
+            rows = masks[start : start + _MASK_BLOCK]
+            for elements in probes[start : start + _MASK_BLOCK, 1:].T:
+                rows &= data.columns[elements]
     masks.flags.writeable = False
     return SubsetIndex(probes, masks, params, data, seed)
 
