@@ -18,7 +18,13 @@ from functools import partial
 
 import numpy as np
 
-from .distributions import Dataset, OpCounter, QueryMultiset, random_fixed_size_supports
+from .distributions import (
+    Dataset,
+    OpCounter,
+    QueryMultiset,
+    check_dataset_size,
+    random_fixed_size_supports,
+)
 from .elimination import eliminate
 from .rng import stream_key, substream
 from .subset_index import (
@@ -31,6 +37,7 @@ from .subset_index import (
 )
 
 SWEEP_PARAMS = ("k", "n", "S", "ell")
+MAX_QUERIES = 100_000  # per point; about 0.5 GB and 8 s of generation at n=500, S=50
 
 
 def _json_type_ok(value, annotation: str) -> bool:
@@ -74,6 +81,10 @@ class ExperimentConfig:
                 raise ValueError(f"sweep value {value!r} for {self.sweep_param} must be {rule}")
         if not even and self.n % 2 != 0:
             raise ValueError(f"domain size n must be even for half-uniform supports (got {self.n})")
+        if self.queries_per_point > MAX_QUERIES:
+            raise ValueError(
+                f"queries_per_point must be at most {MAX_QUERIES:,} (got {self.queries_per_point:,})"
+            )
         if self.L_cap > MAX_PROBES:
             raise ValueError(f"L_cap must be at most {MAX_PROBES:,} (got {self.L_cap:,})")
         if self.L_init > self.L_cap:
@@ -84,6 +95,12 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive (got {value!r})")
+        for value in self.sweep_values:  # every point's dataset, before any is drawn
+            try:
+                k, n, _, _ = self.resolved_point(value)
+            except OverflowError:
+                raise ValueError(f"k * scale overflows at sweep value {value!r}") from None
+            check_dataset_size(k, n)
 
     def resolved_point(self, value) -> tuple[int, int, int, int]:
         """(k, n, S, ell) for one sweep value, with the desk-scale factor applied to k."""

@@ -251,6 +251,21 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
+# Largest support matrix a generator draws, in k * n cells.  At the cap,
+# `hude gen --problem hude` peaks at 0.6 GB resident with n=500 and at 4.8 GB
+# with k=2, n=5e7 (its query alone is 1e7 samples).
+MAX_DATASET_CELLS = 100_000_000
+
+
+def check_dataset_size(k: int, n: int) -> None:
+    """Raise ValueError if k supports over n elements exceed MAX_DATASET_CELLS."""
+    if k * n > MAX_DATASET_CELLS:
+        raise ValueError(
+            f"dataset of k={k:,} supports over n={n:,} elements has {k * n:,} cells; "
+            f"the most allowed is {MAX_DATASET_CELLS:,}"
+        )
+
+
 def random_fixed_size_supports(k: int, n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """(k, n) boolean matrix whose rows are uniform random m-subsets of [0, n).
 
@@ -261,6 +276,7 @@ def random_fixed_size_supports(k: int, n: int, m: int, rng: np.random.Generator)
     """
     if not 0 < m <= n:
         raise ValueError("support size must be in [1, n]")
+    check_dataset_size(k, n)
     out = np.empty((k, n), dtype=bool)
     for start in range(0, k, _ROW_BLOCK):
         stop = min(start + _ROW_BLOCK, k)
@@ -278,6 +294,7 @@ def random_bernoulli_supports(k: int, n: int, w: float, rng: np.random.Generator
     """(k, n) boolean matrix with independent Bernoulli(w) entries."""
     if not 0.0 < w <= 1.0:
         raise ValueError("inclusion probability must be in (0, 1]")
+    check_dataset_size(k, n)
     out = np.empty((k, n), dtype=bool)
     for start in range(0, k, _ROW_BLOCK):
         stop = min(start + _ROW_BLOCK, k)
@@ -311,7 +328,8 @@ def loads_dataset(text: str) -> tuple[Dataset, dict]:
 
     A malformed metadata or header line, a wrong number of support lines,
     and a support line holding a non-integer, negative, out-of-range or
-    repeated element each raise ``ValueError`` naming the 1-based line.
+    repeated element each raise ``ValueError`` naming the 1-based line; a
+    header above ``MAX_DATASET_CELLS`` raises it naming k and n.
     """
     metadata: dict = {}
     lines = text.split("\n")
@@ -338,6 +356,7 @@ def loads_dataset(text: str) -> tuple[Dataset, dict]:
         n = k = -1
     if min(n, k) < 0:
         raise ValueError(f"line {pos + 1}: malformed header {lines[pos]!r}; expected 'n k'")
+    check_dataset_size(k, n)
     pos += 1
     if len(lines) - pos != k:
         raise ValueError(f"expected {k} support lines, found {len(lines) - pos}")

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hude.bench import (
+    MAX_QUERIES,
     AdaptiveSearchError,
     ExperimentConfig,
     ResultRow,
@@ -472,6 +473,26 @@ class TestRunSweep:
             ExperimentConfig(**base, L_cap=MAX_PROBES + 1)
         with pytest.raises(ValueError, match="L_init 101 exceeds L_cap 100"):
             ExperimentConfig(**base, L_init=101, L_cap=100)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(sweep_param="k", sweep_values=(10**10,)), "k=10,000,000,000 supports over n=500"),
+            (dict(sweep_param="k", sweep_values=(10, 10**6)), "k=1,000,000 supports over n=500"),
+            (dict(sweep_param="n", sweep_values=(400_000,)), "k=50,000 supports over n=400,000"),
+            (dict(sweep_param="S", sweep_values=(5,), scale=100.0), "k=5,000,000 supports"),
+            (dict(sweep_param="k", sweep_values=(10**400,)), "k \\* scale overflows"),
+            (dict(sweep_param="k", sweep_values=(10,), scale=1e308), "k \\* scale overflows"),
+            (dict(sweep_param="k", sweep_values=(10,), queries_per_point=MAX_QUERIES + 1),
+             "queries_per_point must be at most 100,000 \\(got 100,001\\)"),
+        ],
+    )
+    def test_dataset_and_query_counts_are_bounded(self, fields, message):
+        # Every sweep point is checked when the config is made, before any is generated.
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**fields)
+        ExperimentConfig(**{**fields, "sweep_values": (10,), "scale": 1.0,
+                            "queries_per_point": MAX_QUERIES})
 
     @pytest.mark.parametrize(
         "field, value",

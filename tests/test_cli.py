@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -26,6 +27,18 @@ def _gen_args(out, problem="hude", seed="3"):
     return base + ["--w-u", "0.5", "--w-q", "0.05"]
 
 
+def _run_limited(argv, src_path, gigabytes=3):
+    """``hude argv`` in a child whose address space is capped, so an allocation
+    the size checks miss fails there instead of on the host."""
+    limit = gigabytes << 30
+    return subprocess.run(
+        [sys.executable, "-m", "hude.cli", *argv],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src_path)),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
 class TestGen:
     @pytest.mark.parametrize("problem", ["hude", "urde", "gapss"])
     def test_writes_loadable_instance(self, tmp_path, problem):
@@ -41,6 +54,21 @@ class TestGen:
         assert main(_gen_args(b)) == 0
         for name in ("dataset.txt", "instance.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "problem, flags",
+        [("hude", ["--s", "5", "--eps", "0.5"]), ("urde", ["--s", "5", "--w-u", "0.5"]),
+         ("gapss", ["--w-u", "0.5", "--w-q", "0.05"])],
+    )
+    def test_oversized_dataset_is_a_clean_error(self, tmp_path, src_path, problem, flags):
+        # 1e12 cells: the boolean matrix alone would be 931 GiB.
+        out = tmp_path / "inst"
+        done = _run_limited(["gen", "--problem", problem, "--n", "100", "--k", "10000000000",
+                             *flags, "--out", str(out)], src_path)
+        assert done.returncode == 1
+        assert "k=10,000,000,000 supports over n=100 elements" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "problem, given, message",
@@ -295,6 +323,23 @@ class TestBench:
         err = capsys.readouterr().err
         assert message in err
         assert "sweeping" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--values", "10000000000"], "k=10,000,000,000 supports over n=500 elements"),
+            (["--values", "100", "--queries", "100001"],
+             "queries_per_point must be at most 100,000 (got 100,001)"),
+        ],
+    )
+    def test_oversized_sweep_point_is_a_clean_error(self, tmp_path, src_path, flags, message):
+        out = tmp_path / "rows.csv"
+        done = _run_limited(["bench", "--sweep", "k", *flags, "--out", str(out)], src_path)
+        assert done.returncode == 1
+        assert message in done.stderr
+        assert "Traceback" not in done.stderr
+        assert "sweeping" not in done.stderr
         assert not out.exists()
 
     def test_unit_probe_factor_is_a_clean_error(self, tmp_path, src_path):

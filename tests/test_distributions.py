@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from hude.distributions import (
     _ROW_BLOCK,
+    MAX_DATASET_CELLS,
     Dataset,
     HalfUniformDistribution,
     OpCounter,
     QueryMultiset,
     SupportSet,
+    check_dataset_size,
     contains,
     dumps_dataset,
     l1_distance,
@@ -269,6 +271,11 @@ class TestDatasetSerialization:
         with pytest.raises(ValueError, match=message):
             loads_dataset(text)
 
+    def test_header_above_the_size_cap_is_rejected_before_allocating(self):
+        # A two-support file claiming 1e10 elements would need 20 GB of matrix.
+        with pytest.raises(ValueError, match="k=2 supports over n=10,000,000,000 elements"):
+            loads_dataset("10000000000 2\n0\n1\n")
+
     @pytest.mark.parametrize("k", [1, 7, 8, 13, _ROW_BLOCK + 5])
     def test_packed_columns_round_trip(self, k):
         matrix = random_bernoulli_supports(k, 9, 0.5, substream(k, "pack"))
@@ -318,3 +325,19 @@ class TestRandomSupports:
     def test_degenerate_full(self):
         matrix = random_bernoulli_supports(5, 11, 1.0, substream(2, "full"))
         assert matrix.all()
+
+    def test_size_cap(self):
+        check_dataset_size(MAX_DATASET_CELLS // 500, 500)
+        with pytest.raises(ValueError, match="k=200,001 supports over n=500 elements"):
+            check_dataset_size(MAX_DATASET_CELLS // 500 + 1, 500)
+
+    @pytest.mark.parametrize(
+        "draw",
+        [lambda k, n, rng: random_fixed_size_supports(k, n, n // 2, rng),
+         lambda k, n, rng: random_bernoulli_supports(k, n, 0.5, rng)],
+    )
+    @pytest.mark.parametrize("k, n", [(10**10, 100), (1, MAX_DATASET_CELLS + 1)])
+    def test_generators_refuse_oversized_matrices(self, draw, k, n):
+        # Checked before anything is allocated: 1e12 cells would be 931 GiB.
+        with pytest.raises(ValueError, match=f"k={k:,} supports over n={n:,} elements"):
+            draw(k, n, substream(0, "cap"))
