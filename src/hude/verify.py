@@ -149,15 +149,20 @@ def _check_sidecar_validation() -> str | None:
 
 
 def _check_bucket_soundness() -> str | None:
-    inst = instances.gen_hude(60, 40, 0.5, 6.0, seed=41)
-    index = subset_index.preprocess(inst.dataset, subset_index.IndexParams(50, 3), seed=42)
-    for i in range(50):
+    # k = 45 leaves padding bits in every mask; L spans three build blocks, the last partial.
+    inst = instances.gen_hude(60, 45, 0.5, 6.0, seed=41)
+    count = 2 * subset_index._MASK_BLOCK + 13
+    index = subset_index.preprocess(inst.dataset, subset_index.IndexParams(count, 3), seed=42)
+    for i in range(count):
         probe = index.probes[i]
         in_bucket = set(index.bucket(i).tolist())
         for j in range(inst.dataset.k):
             holds = all(inst.dataset.support(j).has(int(e)) for e in probe)
             if holds != (j in in_bucket):
                 return f"bucket {i} wrong about candidate {j}"
+    padded = np.flatnonzero(np.unpackbits(index.masks, axis=1)[:, inst.dataset.k :].any(axis=1))
+    if padded.size:
+        return f"mask {padded[0]} has a padding bit set"
     return None
 
 
