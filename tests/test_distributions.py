@@ -25,6 +25,8 @@ from hude.distributions import (
 )
 from hude.rng import substream
 
+CODEC_BLOCK = 1024  # support lines per block of the dataset file codec
+
 
 def _dist(n, indices):
     return HalfUniformDistribution(SupportSet.from_indices(n, indices))
@@ -270,6 +272,81 @@ class TestDatasetSerialization:
     def test_corrupt_input_names_the_line(self, text, message):
         with pytest.raises(ValueError, match=message):
             loads_dataset(text)
+
+    @pytest.mark.parametrize(
+        "bad, problem",
+        [
+            ("0 -1", "has element -1 outside the domain"),
+            ("3 6", "has element 6 outside the domain"),
+            ("0 1 1", "repeats element 1"),
+            ("3 x", "is not a list of integers"),
+            ("99999999999999999999", "is not a list of integers"),
+        ],
+    )
+    @pytest.mark.parametrize("metadata", ["", "# {}\n"], ids=["bare", "metadata"])
+    def test_corrupt_support_past_the_first_block_names_the_line(self, bad, problem, metadata):
+        # Support 1,028 of 1,100 lies past the first block of the file codec;
+        # a second bad support further on must not be the one reported.
+        lines = ["0 4"] * 1100
+        lines[1028], lines[1090] = bad, "9"
+        text = metadata + "6 1100\n" + "\n".join(lines) + "\n"
+        line = 1030 + (1 if metadata else 0)
+        with pytest.raises(ValueError, match=f"line {line}: support 1028 {problem}"):
+            loads_dataset(text)
+
+    @pytest.mark.parametrize(
+        "head, message",
+        [
+            ("6 1100 1\n", "line 1: malformed header"),
+            ("# {}\n6 many\n", "line 2: malformed header"),
+            ("# [1]\n6 1100\n", "line 1: metadata is not a JSON object"),
+        ],
+    )
+    def test_corrupt_head_of_a_long_file_names_the_line(self, head, message):
+        with pytest.raises(ValueError, match=message):
+            loads_dataset(head + "0 4\n" * 1100)
+
+    @pytest.mark.parametrize(
+        "line, elements",
+        [
+            ("0  1", [0, 1]),
+            ("0 1\r", [0, 1]),
+            ("0\t1", [0, 1]),
+            ("\t3 0", [0, 3]),
+            ("+3", [3]),
+            ("007", [7]),
+            ("0 1 ", [0, 1]),
+            (" 5", [5]),
+            ("5 0 2", [0, 2, 5]),
+        ],
+    )
+    @pytest.mark.parametrize("where", [0, 1030], ids=["first-block", "later-block"])
+    def test_lenient_lines_load_as_their_elements(self, line, elements, where):
+        supports = [[j % 10, (j + 3) % 10] for j in range(1100)]
+        supports[where] = elements
+        lines = [" ".join(map(str, sorted(s))) for s in supports]
+        lines[where] = line
+        expected = Dataset.from_supports(10, supports)
+        text = "10 1100\n" + "\n".join(lines)
+        assert loads_dataset(text + "\n")[0] == expected
+        assert loads_dataset(text)[0] == expected  # no final newline
+
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, CODEC_BLOCK - 1, CODEC_BLOCK, CODEC_BLOCK + 1,
+                                   2 * CODEC_BLOCK + 3])
+    @pytest.mark.parametrize("n", [1, 9, 10, 11, 100, 101, 1001])
+    def test_text_matches_the_per_row_formatter(self, k, n):
+        matrix = random_bernoulli_supports(k, n, 0.5, substream(k * 7919 + n, "codec"))
+        matrix[0] = n % 2 == 0  # full or empty, when it is the only support
+        if k > 1:
+            matrix[0], matrix[-1] = False, True
+        data = Dataset(matrix)
+        rows = (" ".join(str(e) for e in np.flatnonzero(row).tolist()) for row in matrix)
+        expected = "# {\"tag\":1}\n" + f"{n} {k}\n" + "".join(row + "\n" for row in rows)
+        text = dumps_dataset(data, {"tag": 1})
+        assert text == expected
+        back, meta = loads_dataset(text)
+        assert back == data and np.array_equal(back.matrix, matrix)
+        assert meta == {"tag": 1}
 
     def test_header_above_the_size_cap_is_rejected_before_allocating(self):
         # A two-support file claiming 1e10 elements would need 20 GB of matrix.
