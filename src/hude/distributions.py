@@ -212,6 +212,22 @@ class Dataset:
         self.columns = columns
 
     @classmethod
+    def from_columns(cls, columns: np.ndarray, k: int) -> "Dataset":
+        """Dataset of k supports over already packed ``columns``, made read-only in place.
+
+        Raises ValueError unless ``columns`` is (n, ceil(k/8)) uint8 with zero padding bits.
+        """
+        width = -(-k // 8)
+        if k < 0 or columns.dtype != np.uint8 or columns.ndim != 2 or columns.shape[1] != width:
+            raise ValueError(f"packed columns of k={k} supports must be (n, {width}) uint8")
+        if k % 8 and (columns[:, -1] & (0xFF >> (k % 8))).any():
+            raise ValueError("packed columns have a padding bit set")
+        dataset = cls.__new__(cls)
+        columns.flags.writeable = False
+        dataset.columns, dataset.k, dataset.n = columns, int(k), int(columns.shape[0])
+        return dataset
+
+    @classmethod
     def from_supports(cls, n: int, supports: Iterable[Iterable[int]]) -> "Dataset":
         rows = [SupportSet.from_indices(n, s).bits for s in supports]
         if not rows:
@@ -304,8 +320,14 @@ def random_bernoulli_supports(k: int, n: int, w: float, rng: np.random.Generator
 
 # ---------------------------------------------------------------------------
 # Dataset serialization: '# ...' metadata lines, then 'n k', then one support
-# per line as sorted element indices.  Round trips are byte-exact.
+# per line as sorted element indices.  Round trips are byte-exact.  Both
+# directions work _LINE_BLOCK support lines at a time, so no per-line Python
+# object and no (k, n) matrix is made.
 # ---------------------------------------------------------------------------
+
+# Support lines per codec block: a multiple of 8, so a block is whole bytes of
+# ``Dataset.columns``.  At k=10,000, n=500 a block is about 1 MB of text.
+_LINE_BLOCK = 1024
 
 
 def _metadata_line(metadata: dict) -> str:
@@ -313,14 +335,111 @@ def _metadata_line(metadata: dict) -> str:
     return "# " + json.dumps(metadata, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def _encoded_blocks(dataset: Dataset, metadata: dict | None):
+    """The text of :func:`dumps_dataset` as UTF-8 bytes: the head, then a block of lines at a time.
+
+    Row e of a fixed-width byte table holds ``b" " + str(e)`` zero-padded and row
+    n the line end.  A block's bits, read row-major with a set end column, give
+    its token stream; gathering the tokens' table rows and dropping the zero
+    bytes and each line's leading space gives its text.
+    """
+    n = dataset.n
+    head = (_metadata_line(metadata) + "\n" if metadata else "") + f"{n} {dataset.k}\n"
+    yield head.encode()
+    width = len(str(max(n - 1, 0))) + 1
+    table = np.zeros((n + 1, width), dtype=np.uint8)
+    digits = np.char.add(b" ", np.arange(n).astype(f"S{width - 1}"))
+    table[:n] = digits.view(np.uint8).reshape(n, width)
+    table[n, 0] = ord("\n")
+    for start in range(0, dataset.k, _LINE_BLOCK):
+        count = min(_LINE_BLOCK, dataset.k - start)
+        bits = np.empty((count, n + 1), dtype=bool)
+        packed = dataset.columns[:, start // 8 : (start + count + 7) // 8]
+        bits[:, :n] = np.unpackbits(packed, axis=1, count=count).T.view(bool)
+        bits[:, n] = True
+        tokens = np.flatnonzero(bits) % (n + 1)
+        ends = tokens == n
+        first = ~ends  # a line's first element: one just after a line end
+        first[1:] &= ends[:-1]
+        text = np.take(table, tokens, axis=0)
+        text[first, 0] = 0
+        yield text[text != 0].tobytes()
+
+
 def dumps_dataset(dataset: Dataset, metadata: dict | None = None) -> str:
-    lines = []
-    if metadata:
-        lines.append(_metadata_line(metadata))
-    lines.append(f"{dataset.n} {dataset.k}")
-    for j in range(dataset.k):
-        lines.append(" ".join(str(e) for e in np.flatnonzero(dataset.row(j)).tolist()))
-    return "\n".join(lines) + "\n"
+    return "".join(block.decode() for block in _encoded_blocks(dataset, metadata))
+
+
+def _parse_lines(lines: list[str], n: int, first_line: int, first_support: int,
+                 out: np.ndarray) -> None:
+    """Set column j of the (n, len(lines)) bool ``out`` to the support on ``lines[j]``.
+
+    The reference parse, one line at a time: it accepts any whitespace and
+    anything ``int`` reads (``+3``, ``007``).  A non-integer, negative,
+    out-of-range or repeated element raises ``ValueError`` naming the 1-based
+    line ``first_line + j`` and the support ``first_support + j``.
+    """
+    for j, line in enumerate(lines):
+        where = f"line {first_line + j}: support {first_support + j}"
+        try:
+            row = np.asarray(line.split(), dtype=np.int64)
+        except (ValueError, OverflowError):
+            raise ValueError(f"{where} is not a list of integers") from None
+        if row.size == 0:
+            continue
+        bad = row[(row < 0) | (row >= n)]
+        if bad.size:
+            raise ValueError(f"{where} has element {bad[0]} outside the domain [0, {n})")
+        out[row, j] = True
+        if np.count_nonzero(out[:, j]) != row.size:
+            ordered = np.sort(row)
+            repeated = ordered[1:][ordered[1:] == ordered[:-1]][0]
+            raise ValueError(f"{where} repeats element {repeated}")
+
+
+def _parse_canonical(raw: bytes, n: int, out: np.ndarray) -> bool:
+    """Set ``out`` as :func:`_parse_lines` does, if every line of ``raw`` is canonical.
+
+    Canonical is what :func:`dumps_dataset` writes, in any element order:
+    elements of ASCII digits, no more than n - 1 has, one space between
+    elements, '\n' ending every line, no element outside the domain or
+    repeated.  Returns False on anything else, with ``out`` to be cleared.
+    """
+    chars = np.frombuffer(raw, dtype=np.uint8)
+    value = chars - np.uint8(ord("0"))
+    separators = np.flatnonzero(value >= 10)
+    kinds = chars[separators]
+    spaces = kinds == ord(" ")
+    line_ends = np.flatnonzero(kinds == ord("\n"))
+    if line_ends.size != out.shape[1] or line_ends.size + np.count_nonzero(spaces) != kinds.size:
+        return False
+    # The digits between a separator and the one before it.
+    lengths = np.diff(separators, prepend=-1)
+    lengths -= 1
+    empty = lengths == 0
+    if (spaces & empty).any() or (spaces[:-1] & empty[1:]).any():
+        return False  # a space not between two elements
+    elements_per_line = np.diff(line_ends, prepend=-1) - empty[line_ends]
+    if empty.any():  # only at the end of an empty line
+        if empty.all():
+            return True
+        separators, lengths = separators[~empty], lengths[~empty]
+    del kinds, spaces, empty
+    stops = separators  # each element's last digit
+    stops -= 1
+    width = int(lengths.max())
+    if width > len(str(n - 1)):
+        return False
+    elements = value[stops].astype(np.int64)
+    for place in range(1, width):
+        stops -= 1
+        elements += np.where(lengths > place, value[stops], 0) * np.int64(10**place)
+    if int(elements.max()) >= n:
+        return False
+    elements *= out.shape[1]
+    elements += np.repeat(np.arange(out.shape[1]), elements_per_line)
+    out.ravel()[elements] = True
+    return np.count_nonzero(out) == elements.size
 
 
 def loads_dataset(text: str) -> tuple[Dataset, dict]:
@@ -329,60 +448,68 @@ def loads_dataset(text: str) -> tuple[Dataset, dict]:
     A malformed metadata or header line, a wrong number of support lines,
     and a support line holding a non-integer, negative, out-of-range or
     repeated element each raise ``ValueError`` naming the 1-based line; a
-    header above ``MAX_DATASET_CELLS`` raises it naming k and n.
+    header above ``MAX_DATASET_CELLS`` raises it naming k and n.  A block of
+    canonical lines is parsed with numpy; any other block by the reference
+    loop :func:`_parse_lines`, so both accept and reject the same text.
     """
     metadata: dict = {}
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    pos = 0
-    while pos < len(lines) and lines[pos].startswith("#"):
-        payload = lines[pos][1:].strip()
+    pos, number = 0, 1  # offset and 1-based number of the next line
+
+    def next_line() -> str:
+        nonlocal pos, number
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end
+        line, pos, number = text[pos:end], end + 1, number + 1
+        return line
+
+    while pos < len(text) and text.startswith("#", pos):
+        payload = next_line()[1:].strip()
         if payload:
             try:
                 entry = json.loads(payload)
             except ValueError:
                 entry = None
             if not isinstance(entry, dict):
-                raise ValueError(f"line {pos + 1}: metadata is not a JSON object")
+                raise ValueError(f"line {number - 1}: metadata is not a JSON object")
             metadata.update(entry)
-        pos += 1
-    if pos >= len(lines):
+    if pos >= len(text):
         raise ValueError("dataset text has no header line")
-    header = lines[pos].split()
+    line = next_line()
     try:
-        n, k = (int(field) for field in header)
+        n, k = (int(field) for field in line.split())
     except ValueError:
         n = k = -1
     if min(n, k) < 0:
-        raise ValueError(f"line {pos + 1}: malformed header {lines[pos]!r}; expected 'n k'")
+        raise ValueError(f"line {number - 1}: malformed header {line!r}; expected 'n k'")
     check_dataset_size(k, n)
-    pos += 1
-    if len(lines) - pos != k:
-        raise ValueError(f"expected {k} support lines, found {len(lines) - pos}")
-    matrix = np.zeros((k, n), dtype=bool)
-    for j in range(k):
-        where = f"line {pos + j + 1}: support {j}"
+    found = 0 if pos >= len(text) else text.count("\n", pos) + (not text.endswith("\n"))
+    if found != k:
+        raise ValueError(f"expected {k} support lines, found {found}")
+    columns = np.empty((n, -(-k // 8)), dtype=np.uint8)
+    for start in range(0, k, _LINE_BLOCK):
+        count = min(_LINE_BLOCK, k - start)
+        end = pos
+        for _ in range(count):
+            end = text.find("\n", end) + 1 or len(text)
+        block = np.zeros((n, count), dtype=bool)
         try:
-            row = np.asarray(lines[pos + j].split(), dtype=np.int64)
-        except (ValueError, OverflowError):
-            raise ValueError(f"{where} is not a list of integers") from None
-        if row.size == 0:
-            continue
-        bad = row[(row < 0) | (row >= n)]
-        if bad.size:
-            raise ValueError(f"{where} has element {bad[0]} outside the domain [0, {n})")
-        matrix[j, row] = True
-        if np.count_nonzero(matrix[j]) != row.size:
-            ordered = np.sort(row)
-            repeated = ordered[1:][ordered[1:] == ordered[:-1]][0]
-            raise ValueError(f"{where} repeats element {repeated}")
-    return Dataset(matrix), metadata
+            raw = text[pos:end].encode("ascii")
+            parsed = _parse_canonical(raw if raw.endswith(b"\n") else raw + b"\n", n, block)
+        except UnicodeEncodeError:
+            parsed = False
+        if not parsed:
+            block[:] = False
+            lines = text[pos:end].split("\n")[:count]
+            _parse_lines(lines, n, number + start, start, block)
+        columns[:, start // 8 : (start + count + 7) // 8] = np.packbits(block, axis=1)
+        pos = end
+    return Dataset.from_columns(columns, k), metadata
 
 
 def save_dataset(dataset: Dataset, path, metadata: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_dataset(dataset, metadata))
+    with open(path, "wb") as fh:
+        for block in _encoded_blocks(dataset, metadata):
+            fh.write(block)
 
 
 def load_dataset(path) -> tuple[Dataset, dict]:

@@ -49,8 +49,10 @@ def _check_l1_values() -> str | None:
 
 
 def _check_dataset_roundtrip() -> str | None:
-    rng = substream(11, "verify-roundtrip")
-    matrix = distributions.random_bernoulli_supports(17, 29, 0.4, rng)
+    # Past one codec block, with an empty and a full support.
+    k, n = distributions._LINE_BLOCK + 3, 29
+    matrix = distributions.random_bernoulli_supports(k, n, 0.4, substream(11, "verify-roundtrip"))
+    matrix[5], matrix[k - 2] = False, True
     data = distributions.Dataset(matrix)
     text = distributions.dumps_dataset(data, {"tag": "verify"})
     back, meta = distributions.loads_dataset(text)
@@ -58,6 +60,13 @@ def _check_dataset_roundtrip() -> str | None:
         return "dataset round trip changed the supports"
     if distributions.dumps_dataset(back, meta) != text:
         return "dataset round trip changed the bytes"
+    body = text.split("\n", 2)[2]
+    per_line, block = np.zeros((n, k), dtype=bool), np.zeros((n, k), dtype=bool)
+    distributions._parse_lines(body.split("\n")[:-1], n, 3, 0, per_line)
+    if not distributions._parse_canonical(body.encode(), n, block):
+        return "the block parse refused canonical text"
+    if not np.array_equal(block, per_line):
+        return "the block parse and the per-line parse disagree"
     return None
 
 

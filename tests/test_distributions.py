@@ -1,13 +1,16 @@
 """Supports, the metered membership primitive, distances, and sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hude import distributions
 from hude.distributions import (
+    _LINE_BLOCK,
     _ROW_BLOCK,
     MAX_DATASET_CELLS,
     Dataset,
@@ -15,6 +18,7 @@ from hude.distributions import (
     OpCounter,
     QueryMultiset,
     SupportSet,
+    _parse_lines,
     check_dataset_size,
     contains,
     dumps_dataset,
@@ -23,6 +27,7 @@ from hude.distributions import (
     random_bernoulli_supports,
     random_fixed_size_supports,
 )
+from hude.instances import gen_hude
 from hude.rng import substream
 
 CODEC_BLOCK = 1024  # support lines per block of the dataset file codec
@@ -40,6 +45,13 @@ def _argpartition_supports(k, n, m, rng):
         chosen = np.argpartition(rng.random((stop - start, n)), m - 1, axis=1)[:, :m]
         out[np.arange(start, stop)[:, None], chosen] = True
     return out
+
+
+def _per_line(lines, n):
+    """The dataset the reference loop reads from support lines."""
+    out = np.zeros((n, len(lines)), dtype=bool)
+    _parse_lines(lines, n, 2, 0, out)
+    return Dataset(out.T)
 
 
 class _QuarterRng:
@@ -347,6 +359,76 @@ class TestDatasetSerialization:
         back, meta = loads_dataset(text)
         assert back == data and np.array_equal(back.matrix, matrix)
         assert meta == {"tag": 1}
+
+    def test_codec_block_is_the_size_the_tests_cross(self):
+        assert _LINE_BLOCK == CODEC_BLOCK
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_block_parse_matches_the_per_line_parse(self, data):
+        # Mostly canonical lines, with the variants the per-line parse accepts
+        # or rejects: wide or tab separators, signs, leading zeros, trailing
+        # characters, repeats and elements past the domain.
+        n = data.draw(st.integers(1, 120))
+        k = data.draw(st.integers(1, 12))
+        lines = []
+        for _ in range(k):
+            elements = data.draw(st.lists(st.integers(0, n + 1), max_size=6))
+            prefixes = st.sampled_from(["", "", "", "", "0", "+"])
+            words = [data.draw(prefixes) + str(e) for e in elements]
+            separator = data.draw(st.sampled_from([" ", " ", " ", "  ", "\t"]))
+            ending = data.draw(st.sampled_from(["", "", "", " ", "\r", "x"]))
+            lines.append(separator.join(words) + ending)
+        text = f"{n} {k}\n" + "".join(line + "\n" for line in lines)
+        outcomes = []
+        for parse in (lambda: loads_dataset(text)[0], lambda: _per_line(lines, n)):
+            try:
+                outcomes.append(parse())
+            except ValueError as err:
+                outcomes.append(str(err))
+        assert outcomes[0] == outcomes[1]
+
+    def test_canonical_text_skips_the_per_line_parse(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a canonical block went to the per-line parse")
+
+        k = 2 * CODEC_BLOCK + 3
+        matrix = random_bernoulli_supports(k, 1001, 0.5, substream(5, "codec"))
+        matrix[0], matrix[-1] = False, True
+        text = dumps_dataset(Dataset(matrix))
+        monkeypatch.setattr(distributions, "_parse_lines", refuse)
+        assert np.array_equal(loads_dataset(text)[0].matrix, matrix)
+
+    def test_from_columns_checks_shape_and_padding(self):
+        data = Dataset.from_supports(5, [[0], [1, 4], [], [2]])
+        columns = data.columns.copy()
+        back = Dataset.from_columns(columns, 4)
+        assert back == data and back.n == 5 and not columns.flags.writeable
+        for wrong, k in ((data.columns.astype(np.int16), 4), (data.columns, 9),
+                         (data.columns[0], 4)):
+            with pytest.raises(ValueError, match="must be"):
+                Dataset.from_columns(wrong, k)
+        padded = data.columns.copy()
+        padded[3, 0] |= 1
+        with pytest.raises(ValueError, match="padding bit"):
+            Dataset.from_columns(padded, 4)
+
+    def test_codec_peak_memory(self):
+        # tracemalloc peaks on the k=10,000 serve-size dataset, measured with the
+        # per-line codec (16.16 MB to parse above the text, 28.92 MB to write).
+        # The instance-file round trip must not raise the benchmark's peak RSS.
+        data = gen_hude(500, 10_000, 0.5, 10.0, 1).dataset
+        text = dumps_dataset(data)
+        tracemalloc.start()
+        try:
+            for call, bound in ((lambda: loads_dataset(text), 16.2e6),
+                                (lambda: dumps_dataset(data), 28.9e6)):
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                call()
+                assert tracemalloc.get_traced_memory()[1] - base <= bound
+        finally:
+            tracemalloc.stop()
 
     def test_header_above_the_size_cap_is_rejected_before_allocating(self):
         # A two-support file claiming 1e10 elements would need 20 GB of matrix.
