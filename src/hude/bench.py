@@ -28,22 +28,27 @@ from .distributions import (
 from .elimination import eliminate
 from .rng import stream_key, substream
 from .subset_index import (
+    MAX_INDEX_BYTES,
     MAX_PROBES,
     VARIANT_BUCKET_ELIMINATE,
     VARIANT_UJ_CERTIFY,
     IndexParams,
+    check_index_size,
     preprocess,
     query,
 )
 
 SWEEP_PARAMS = ("k", "n", "S", "ell")
 MAX_QUERIES = 100_000  # per point; about 0.5 GB and 8 s of generation at n=500, S=50
+MAX_DRAWS = 10_000_000  # samples per point, S * queries_per_point: 80 MB of sample streams
 
 
 def _json_type_ok(value, annotation: str) -> bool:
     """Whether a decoded JSON value fits a config field's annotation."""
     if annotation == "tuple":
         return isinstance(value, list | tuple) and all(_json_type_ok(v, "float") for v in value)
+    if annotation == "int | None":
+        return value is None or _json_type_ok(value, "int")
     want = {"str": str, "int": int, "float": int | float}[annotation]
     return isinstance(value, want) and not isinstance(value, bool)
 
@@ -59,7 +64,7 @@ class ExperimentConfig:
     queries_per_point: int = 100
     L_init: int = 200
     L_factor: float = 1.5
-    L_cap: int = MAX_PROBES
+    L_cap: int | None = None  # None: MAX_PROBES, or fewer if their masks pass MAX_INDEX_BYTES
     seed: int = 0
     variant: str = VARIANT_BUCKET_ELIMINATE
     epsilon: float = 1.0  # certify-variant budget only; the data is promise-free
@@ -85,22 +90,34 @@ class ExperimentConfig:
             raise ValueError(
                 f"queries_per_point must be at most {MAX_QUERIES:,} (got {self.queries_per_point:,})"
             )
-        if self.L_cap > MAX_PROBES:
-            raise ValueError(f"L_cap must be at most {MAX_PROBES:,} (got {self.L_cap:,})")
-        if self.L_init > self.L_cap:
-            raise ValueError(f"L_init {self.L_init:,} exceeds L_cap {self.L_cap:,}")
         if not (math.isfinite(self.L_factor) and self.L_factor > 1):
             raise ValueError(f"L_factor must exceed 1 (got {self.L_factor!r}) and be finite")
         for name in ("epsilon", "c_query", "scale"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive (got {value!r})")
-        for value in self.sweep_values:  # every point's dataset, before any is drawn
+        widest = 0
+        for value in self.sweep_values:  # every point's dataset and samples, before any is drawn
             try:
-                k, n, _, _ = self.resolved_point(value)
+                k, n, S, _ = self.resolved_point(value)
             except OverflowError:
                 raise ValueError(f"k * scale overflows at sweep value {value!r}") from None
             check_dataset_size(k, n)
+            draws = S * self.queries_per_point
+            if draws > MAX_DRAWS:
+                raise ValueError(
+                    f"S={S:,} samples for each of {self.queries_per_point:,} queries is {draws:,} "
+                    f"draws; the most allowed is {MAX_DRAWS:,}"
+                )
+            widest = max(widest, k)
+        if self.L_cap is None:
+            cap = min(MAX_PROBES, MAX_INDEX_BYTES // -(-widest // 8))
+            object.__setattr__(self, "L_cap", cap)
+        if self.L_cap > MAX_PROBES:
+            raise ValueError(f"L_cap must be at most {MAX_PROBES:,} (got {self.L_cap:,})")
+        check_index_size(self.L_cap, widest, "L_cap")
+        if self.L_init > self.L_cap:
+            raise ValueError(f"L_init {self.L_init:,} exceeds L_cap {self.L_cap:,}")
 
     def resolved_point(self, value) -> tuple[int, int, int, int]:
         """(k, n, S, ell) for one sweep value, with the desk-scale factor applied to k."""

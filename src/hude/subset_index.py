@@ -29,6 +29,17 @@ VARIANT_BUCKET_ELIMINATE = "bucket-eliminate"
 VARIANT_UJ_CERTIFY = "uj-certify"
 VARIANTS = (VARIANT_BUCKET_ELIMINATE, VARIANT_UJ_CERTIFY)
 MAX_PROBES = 10_000_000  # largest index; also the adaptive search's default cap
+MAX_INDEX_BYTES = 2**31  # largest set of bucket masks, L * ceil(k/8) bytes
+
+
+def check_index_size(num_probes: int, k: int, name: str) -> None:
+    """Raise ValueError naming ``name`` if num_probes masks over k supports exceed MAX_INDEX_BYTES."""
+    size = num_probes * -(-k // 8)
+    if size > MAX_INDEX_BYTES:
+        raise ValueError(
+            f"{name} {num_probes:,} over k={k:,} supports needs {size:,} bytes of bucket "
+            f"masks; the most allowed is {MAX_INDEX_BYTES:,}"
+        )
 
 
 @dataclass(frozen=True)
@@ -124,6 +135,7 @@ class SubsetIndex:
 
 def preprocess(data: Dataset, params: IndexParams, seed: int) -> SubsetIndex:
     """Sample probes; each bucket mask is the AND of its probe's packed columns."""
+    check_index_size(params.num_probes, data.k, "--num-probes")
     probes = sample_probes(seed, params.num_probes, params.probe_size, data.n)
     if params.probe_size == 0:
         everyone = np.packbits(np.ones(data.k, dtype=bool))

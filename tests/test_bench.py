@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hude.bench import (
+    MAX_DRAWS,
     MAX_QUERIES,
     AdaptiveSearchError,
     ExperimentConfig,
@@ -26,7 +27,7 @@ from hude.bench import (
 from hude.distributions import Dataset, OpCounter, QueryMultiset, contains, read_rows, write_rows
 from hude.elimination import eliminate
 from hude.rng import substream
-from hude.subset_index import MAX_PROBES, IndexParams, SubsetIndex, preprocess, query
+from hude.subset_index import MAX_INDEX_BYTES, MAX_PROBES, IndexParams, SubsetIndex, preprocess, query
 from test_subset_index import _masks
 
 
@@ -465,6 +466,27 @@ class TestRunSweep:
         # count, so the adaptive search would never stop.
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(sweep_param="k", sweep_values=(10,), **{field: value})
+
+    def test_default_probe_cap_fits_the_mask_bytes(self):
+        # 6,250 bytes a mask at k=50,000: the default cap is as many as fit.
+        config = ExperimentConfig(sweep_param="k", sweep_values=(10, 50_000))
+        assert config.L_cap == MAX_INDEX_BYTES // 6250 == 343_597
+        assert ExperimentConfig(sweep_param="k", sweep_values=(50_000,), L_cap=343_597).L_cap
+        with pytest.raises(ValueError, match="L_cap 343,598 over k=50,000 supports needs "
+                                             "2,147,487,500 bytes of bucket masks"):
+            ExperimentConfig(sweep_param="k", sweep_values=(10, 50_000), L_cap=343_598)
+        with pytest.raises(ValueError, match="L_init 400,000 exceeds L_cap 343,597"):
+            ExperimentConfig(sweep_param="k", sweep_values=(50_000,), L_init=400_000)
+
+    def test_sample_draws_are_bounded(self):
+        # S * queries_per_point, checked at every point before any is drawn.
+        assert ExperimentConfig(sweep_param="S", sweep_values=(MAX_DRAWS // 100,))
+        with pytest.raises(ValueError, match="S=100,001 samples for each of 100 queries is "
+                                             "10,000,100 draws; the most allowed is 10,000,000"):
+            ExperimentConfig(sweep_param="S", sweep_values=(10, 100_001))
+        with pytest.raises(ValueError, match="S=101 samples for each of 100,000 queries"):
+            ExperimentConfig(sweep_param="k", sweep_values=(10,), S=101,
+                             queries_per_point=MAX_QUERIES)
 
     def test_probe_count_range(self):
         base = dict(sweep_param="k", sweep_values=(10,))

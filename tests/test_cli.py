@@ -161,6 +161,19 @@ class TestQuery:
         assert "num_probes must be at most 10,000,000 (got 2,000,000,000)" in captured.err
         assert captured.out == ""
 
+    def test_mask_bytes_above_the_cap_is_a_clean_error(self, tmp_path, src_path):
+        # 10,000,000 masks of 10,000 bytes would be 100 GB.
+        out = tmp_path / "inst"
+        assert main(["gen", "--problem", "hude", "--n", "100", "--k", "80000", "--s", "5",
+                     "--eps", "0.5", "--seed", "3", "--out", str(out)]) == 0
+        done = _run_limited(["query", "--instance", str(out), "--algorithm", "subset",
+                             "--ell", "3", "--num-probes", "10000000"], src_path)
+        assert done.returncode == 1
+        assert ("--num-probes 10,000,000 over k=80,000 supports needs 100,000,000,000 bytes"
+                in done.stderr)
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""
+
     def test_missing_instance_dir_is_a_file_error(self, tmp_path):
         rc = main(["query", "--instance", str(tmp_path / "nope"),
                    "--algorithm", "elimination"])
@@ -338,6 +351,17 @@ class TestBench:
         done = _run_limited(["bench", "--sweep", "k", *flags, "--out", str(out)], src_path)
         assert done.returncode == 1
         assert message in done.stderr
+        assert "Traceback" not in done.stderr
+        assert "sweeping" not in done.stderr
+        assert not out.exists()
+
+    def test_oversized_sample_count_is_a_clean_error(self, tmp_path, src_path):
+        # 1e12 draws would be 7.3 TiB of sample streams.
+        out = tmp_path / "rows.csv"
+        done = _run_limited(["bench", "--sweep", "S", "--values", "10000000000",
+                             "--out", str(out)], src_path)
+        assert done.returncode == 1
+        assert "S=10,000,000,000 samples for each of 100 queries" in done.stderr
         assert "Traceback" not in done.stderr
         assert "sweeping" not in done.stderr
         assert not out.exists()

@@ -19,6 +19,7 @@ from hude.distributions import (
 from hude.instances import gen_hude
 from hude.rng import substream
 from hude.subset_index import (
+    MAX_INDEX_BYTES,
     MAX_PROBES,
     IndexParams,
     SubsetIndex,
@@ -195,6 +196,15 @@ class TestQuery:
         assert IndexParams(MAX_PROBES, 3).num_probes == MAX_PROBES
         with pytest.raises(ValueError, match="num_probes must be at most 10,000,000"):
             IndexParams(MAX_PROBES + 1, 3)
+
+    def test_mask_bytes_cap(self):
+        # 10,000,000 masks of 250 bytes would be 2.5 GB; refused before any is built.
+        data = Dataset(np.ones((2000, 4), dtype=bool))
+        with pytest.raises(ValueError, match="--num-probes 10,000,000 over k=2,000 supports "
+                                             "needs 2,500,000,000 bytes of bucket masks"):
+            preprocess(data, IndexParams(MAX_PROBES, 1), 0)
+        small = Dataset(np.ones((8, 4), dtype=bool))
+        assert preprocess(small, IndexParams(MAX_INDEX_BYTES // 1000, 0), 0).masks.shape[1] == 1
 
     def test_failed_bucket_continues_to_next_probe(self):
         # Probe 0 hits but its bucket holds two wrong candidates that the
