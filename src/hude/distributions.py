@@ -321,8 +321,8 @@ def random_bernoulli_supports(k: int, n: int, w: float, rng: np.random.Generator
 # ---------------------------------------------------------------------------
 # Dataset serialization: '# ...' metadata lines, then 'n k', then one support
 # per line as sorted element indices.  Round trips are byte-exact.  Both
-# directions work _LINE_BLOCK support lines at a time, so no per-line Python
-# object and no (k, n) matrix is made.
+# directions work _LINE_BLOCK support lines at a time with numpy: canonical
+# text makes no Python string per line, and no (k, n) matrix is made.
 # ---------------------------------------------------------------------------
 
 # Support lines per codec block: a multiple of 8, so a block is whole bytes of
@@ -410,8 +410,8 @@ def _parse_canonical(raw: bytes, n: int, out: np.ndarray) -> bool:
     separators = np.flatnonzero(value >= 10)
     kinds = chars[separators]
     spaces = kinds == ord(" ")
-    line_ends = np.flatnonzero(kinds == ord("\n"))
-    if line_ends.size != out.shape[1] or line_ends.size + np.count_nonzero(spaces) != kinds.size:
+    line_ends = np.flatnonzero(kinds == ord("\n"))  # one per column of ``out``
+    if line_ends.size + np.count_nonzero(spaces) != kinds.size:
         return False
     # The digits between a separator and the one before it.
     lengths = np.diff(separators, prepend=-1)

@@ -33,7 +33,7 @@ MAX_INDEX_BYTES = 2**31  # largest set of bucket masks, L * ceil(k/8) bytes
 
 
 def check_index_size(num_probes: int, k: int, name: str) -> None:
-    """Raise ValueError naming ``name`` if num_probes masks over k supports exceed MAX_INDEX_BYTES."""
+    """Raise ValueError naming ``name`` if L=num_probes masks over k supports pass the cap."""
     size = num_probes * -(-k // 8)
     if size > MAX_INDEX_BYTES:
         raise ValueError(

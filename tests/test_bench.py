@@ -27,7 +27,14 @@ from hude.bench import (
 from hude.distributions import Dataset, OpCounter, QueryMultiset, contains, read_rows, write_rows
 from hude.elimination import eliminate
 from hude.rng import substream
-from hude.subset_index import MAX_INDEX_BYTES, MAX_PROBES, IndexParams, SubsetIndex, preprocess, query
+from hude.subset_index import (
+    MAX_INDEX_BYTES,
+    MAX_PROBES,
+    IndexParams,
+    SubsetIndex,
+    preprocess,
+    query,
+)
 from test_subset_index import _masks
 
 
