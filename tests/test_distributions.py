@@ -54,14 +54,22 @@ def _per_line(lines, n):
     return Dataset(out.T)
 
 
+def _drawn_columns(drawn):
+    """The packed columns of what a support generator returns."""
+    return Dataset(drawn).columns
+
+
 class _QuarterRng:
     """Uniforms rounded down to quarters, so most rows tie at their m-th smallest draw."""
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
 
-    def random(self, size):
-        return np.floor(self._rng.random(size) * 4) / 4
+    def random(self, size=None, out=None):
+        u = self._rng.random(size, out=out)
+        np.floor(u * 4, out=u)
+        u /= 4
+        return u
 
 
 class TestContains:
@@ -489,6 +497,30 @@ class TestRandomSupports:
         check_dataset_size(MAX_DATASET_CELLS // 500, 500)
         with pytest.raises(ValueError, match="k=200,001 supports over n=500 elements"):
             check_dataset_size(MAX_DATASET_CELLS // 500 + 1, 500)
+
+    # Row counts on, just below and just past the edges of 1,024- and
+    # 4,096-row blocks and of a byte; domains with one, two, an odd number
+    # and the benchmark's number of elements.
+    @pytest.mark.parametrize(
+        "k", [1, 7, 8, 9, 63, 1023, 1024, 1025, 4095, 4096, 4097, 8200, 12345]
+    )
+    @pytest.mark.parametrize("n", [1, 2, 9, 500])
+    def test_columns_are_the_packed_reference_draw(self, k, n):
+        m = max(1, n // 2)
+        seed = k * 7919 + n
+        fixed = random_fixed_size_supports(k, n, m, substream(seed, "pack-fs"))
+        reference = _argpartition_supports(k, n, m, substream(seed, "pack-fs"))
+        assert np.array_equal(_drawn_columns(fixed), np.packbits(reference, axis=0).T)
+        bernoulli = random_bernoulli_supports(k, n, 0.5, substream(seed, "pack-bern"))
+        reference = substream(seed, "pack-bern").random((k, n)) < 0.5
+        assert np.array_equal(_drawn_columns(bernoulli), np.packbits(reference, axis=0).T)
+
+    @pytest.mark.parametrize("k", [1023, 1025, 4097])
+    def test_tied_rows_past_the_first_block(self, k):
+        n, m = 12, 5
+        drawn = random_fixed_size_supports(k, n, m, _QuarterRng(k))
+        reference = _argpartition_supports(k, n, m, _QuarterRng(k))
+        assert np.array_equal(_drawn_columns(drawn), np.packbits(reference, axis=0).T)
 
     @pytest.mark.parametrize(
         "draw",

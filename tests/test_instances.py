@@ -1,5 +1,6 @@
 """Instance generators, Poisson samplers, the reduction, and instance files."""
 
+import hashlib
 import json
 import math
 import os
@@ -257,6 +258,59 @@ class TestInstanceFiles:
         for name in ("dataset.txt", "instance.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
         assert os.path.getsize(a / "dataset.txt") > 0
+
+
+# Instances whose counters are past their first value, each with the sha256 of
+# its dataset.txt bytes followed by its instance.json bytes.
+URDE_RESAMPLED = [  # gen_urde(3, 13, 0.05, 1.0, seed): (truth_resamples, sha256)
+    (0, "70d15d0413a49a6b9baf0ffe3b119090b3088f249d9be653f51335ad2c00cdab"),
+    (2, "b0ed682ab7d302dc739a5ffd97d40458e715c0f008c767468bfa5c8aa0042cb5"),
+    (1, "f3075870f06a2a6017e5261b19e0328e23ceaf74249f9aba5a5a006bfc60ce13"),
+    (0, "9a8bfe595b94b9ce4c3c04991fdb8773cd094d7a41c5834f0f6e34eef77601ff"),
+    (9, "97165267c91d3e242c793bed01aa0f8520196f5b5b8475086ea7d8ea3686c649"),
+    (6, "2619abd5bbe62fe651b5581aad2da0abfd7616b456a12b4e4c88010a0edd2e87"),
+    (11, "5a2686661bde03c8e210d4c592077e90382da6c20a831b61391f4f1a2893b51b"),
+    (10, "c22ad257f55d2c90c7b91532faf51108d7727beb180e1f7e7882fdf6914b8b43"),
+]
+HUDE_RETRIED = [  # gen_hude(40, 300, 0.5, 5.0, seed): (attempts, sha256)
+    (1, "5a4dc6e6b6baa61e5e4462845ed867d9bc16e2a515593eaf3f9b2e753d02f9a2"),
+    (1, "c578ff58b0aa714fdcbd3d0ba5550df42dac980a7b08c6afc078d05fe07e006d"),
+    (1, "d841ffc54c43ffd6da7e8e2242b55484f6571c6b13ce01870d40e10246c43d12"),
+    (1, "1fad84003a20f4fb4907fe0caf9c9fc6de00ce97c42ecab4af32f0461ed8a68a"),
+    (1, "f3001ea3cb1615e2623486cccbbe3765834788925dcf5dafc00be57f943adbdc"),
+    (1, "f476978234a182cce0b9b6a95372044f186d59f4d58f63a8a1e66482c6ebb29f"),
+    (2, "b4a3e46468bddb2f7b7251e66d68e2fa008f11e4186b7aa5e48690833ee00f54"),
+    (2, "4706173aaa85dad93ef46001c8649aa944769b9a8a67c01bcedfbf520a1d3e00"),
+    (1, "b60df4cacd8b76358909bea2eed07a3c48f9d085ccf9d8335894325b5aa6895b"),
+    (1, "c8834bc84c10923a9d24063b9c55550792b93b4d688f8209450f2f6e7a8d9a82"),
+    (1, "57c1d68792f51f1eb388f9a4a476c293c6cc56fd7219002841d60bf5504438b7"),
+    (1, "d390dc978e38b8953ff83b0fd11babbceb1349ec014def85de49aec7d7e6e7a7"),
+]
+
+
+def _file_digest(instance, outdir) -> str:
+    save_instance(instance, outdir)
+    return hashlib.sha256(
+        (outdir / "dataset.txt").read_bytes() + (outdir / "instance.json").read_bytes()
+    ).hexdigest()
+
+
+class TestCounterPathBytes:
+    """The truth-row resample of gen_urde and the dataset retry of gen_hude, pinned."""
+
+    @pytest.mark.parametrize("seed", range(len(URDE_RESAMPLED)))
+    def test_urde_truth_resamples(self, tmp_path, seed):
+        inst = gen_urde(3, 13, 0.05, 1.0, seed)
+        assert (inst.truth_resamples, _file_digest(inst, tmp_path)) == URDE_RESAMPLED[seed]
+
+    @pytest.mark.parametrize("seed", range(len(HUDE_RETRIED)))
+    def test_hude_attempts(self, tmp_path, seed):
+        inst = gen_hude(40, 300, 0.5, 5.0, seed)
+        assert (inst.attempts, _file_digest(inst, tmp_path)) == HUDE_RETRIED[seed]
+
+    def test_both_paths_are_taken(self):
+        assert sum(count > 0 for count, _ in URDE_RESAMPLED) == 6
+        assert sum(count == 2 for count, _ in HUDE_RETRIED) == 2
 
 
 def _corrupt_sidecar(tmp_path, edit, problem="hude"):
