@@ -174,8 +174,7 @@ def generate_point(
     n: int, k: int, S: int, seed: int, point_id: int, num_queries: int
 ) -> tuple[Dataset, list[tuple[int, QueryMultiset]]]:
     """Random half-uniform dataset plus queries from uniformly chosen truths."""
-    matrix = random_fixed_size_supports(k, n, n // 2, substream(seed, "bench-data", point_id))
-    data = Dataset(matrix)
+    data = random_fixed_size_supports(k, n, n // 2, substream(seed, "bench-data", point_id))
     truths = substream(seed, "bench-truth", point_id).integers(0, k, size=num_queries)
     queries = []
     for qid, truth in enumerate(truths.tolist()):

@@ -182,9 +182,22 @@ def l1_distance(p: HalfUniformDistribution, q: HalfUniformDistribution) -> float
     return abs(1.0 / a - 1.0 / b) * c + (a - c) / a + (b - c) / b
 
 
-# Rows per block when packing or drawing supports: a multiple of 8, so blocks
-# start on byte boundaries, and fixed, so the draw sequence is platform-independent.
-_ROW_BLOCK = 4096
+# Rows per block when drawing or packing supports: a multiple of 8, so a block
+# is whole bytes of ``Dataset.columns``.  It sets the size of a generator's
+# buffers, not the draws: row i takes the same doubles whatever the block size.
+_ROW_BLOCK = 1024
+
+# Weights of the 8 rows that share a byte, in ``np.packbits`` bit order.
+_BIT_WEIGHTS = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)
+
+
+def _pack_rows(block: np.ndarray) -> np.ndarray:
+    """(n, ceil(r/8)) column bytes of an (r, n) bool block: ``np.packbits(block, axis=0).T``."""
+    rows, n = block.shape
+    if rows % 8:
+        block = np.concatenate([block, np.zeros((-rows % 8, n), dtype=bool)])
+    octets = block.view(np.uint8).reshape(len(block) // 8, 8, n)
+    return np.einsum("jbn,b->nj", octets, _BIT_WEIGHTS, dtype=np.uint8)
 
 
 class Dataset:
@@ -206,8 +219,8 @@ class Dataset:
         self.k, self.n = (int(d) for d in matrix.shape)
         columns = np.empty((self.n, -(-self.k // 8)), dtype=np.uint8)
         for start in range(0, self.k, _ROW_BLOCK):
-            packed = np.packbits(matrix[start : start + _ROW_BLOCK], axis=0)
-            columns[:, start // 8 : start // 8 + packed.shape[0]] = packed.T
+            block = matrix[start : start + _ROW_BLOCK]
+            columns[:, start // 8 : (start + _ROW_BLOCK) // 8] = _pack_rows(block)
         columns.flags.writeable = False
         self.columns = columns
 
@@ -263,7 +276,7 @@ class Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Random support matrices (building blocks for the instance generators)
+# Random supports (building blocks for the instance generators)
 # ---------------------------------------------------------------------------
 
 
@@ -282,40 +295,54 @@ def check_dataset_size(k: int, n: int) -> None:
         )
 
 
-def random_fixed_size_supports(k: int, n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """(k, n) boolean matrix whose rows are uniform random m-subsets of [0, n).
+def random_fixed_size_supports(k: int, n: int, m: int, rng: np.random.Generator) -> Dataset:
+    """k supports, each a uniform random m-subset of [0, n).
 
     Row i keeps the elements of its m smallest uniform draws: those at or
     below the row's m-th smallest draw.  A row tied at that threshold would
     keep more than m, so it takes ``np.argpartition``'s m instead; without a
-    tie the two choices are the same set.
+    tie the two choices are the same set.  Rows are drawn into buffers made
+    once and packed ``_ROW_BLOCK`` at a time; no (k, n) matrix is built.
     """
     if not 0 < m <= n:
         raise ValueError("support size must be in [1, n]")
     check_dataset_size(k, n)
-    out = np.empty((k, n), dtype=bool)
+    columns = np.empty((n, -(-k // 8)), dtype=np.uint8)
+    u = np.empty((min(k, _ROW_BLOCK), n))
+    ordered = np.empty_like(u)
+    block = np.empty(u.shape, dtype=bool)
     for start in range(0, k, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, k)
-        u = rng.random((stop - start, n))
-        block = out[start:stop]
-        np.less_equal(u, np.partition(u, m - 1, axis=1)[:, m - 1 : m], out=block)
+        if k - start < len(u):
+            u, ordered, block = u[: k - start], ordered[: k - start], block[: k - start]
+        rng.random(out=u)
+        np.copyto(ordered, u)
+        ordered.partition(m - 1, axis=1)
+        np.less_equal(u, ordered[:, m - 1 : m], out=block)
         tied = np.flatnonzero(np.count_nonzero(block, axis=1) != m)
         if tied.size:
             block[tied] = False
             block[tied[:, None], np.argpartition(u[tied], m - 1, axis=1)[:, :m]] = True
-    return out
+        columns[:, start // 8 : (start + _ROW_BLOCK) // 8] = _pack_rows(block)
+    return Dataset.from_columns(columns, k)
 
 
-def random_bernoulli_supports(k: int, n: int, w: float, rng: np.random.Generator) -> np.ndarray:
-    """(k, n) boolean matrix with independent Bernoulli(w) entries."""
+def random_bernoulli_supports(k: int, n: int, w: float, rng: np.random.Generator) -> Dataset:
+    """k supports over [0, n) holding each element independently with probability w.
+
+    Drawn into buffers made once and packed ``_ROW_BLOCK`` rows at a time.
+    """
     if not 0.0 < w <= 1.0:
         raise ValueError("inclusion probability must be in (0, 1]")
     check_dataset_size(k, n)
-    out = np.empty((k, n), dtype=bool)
+    columns = np.empty((n, -(-k // 8)), dtype=np.uint8)
+    u = np.empty((min(k, _ROW_BLOCK), n))
+    block = np.empty(u.shape, dtype=bool)
     for start in range(0, k, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, k)
-        out[start:stop] = rng.random((stop - start, n)) < w
-    return out
+        if k - start < len(u):
+            u, block = u[: k - start], block[: k - start]
+        np.less(rng.random(out=u), w, out=block)
+        columns[:, start // 8 : (start + _ROW_BLOCK) // 8] = _pack_rows(block)
+    return Dataset.from_columns(columns, k)
 
 
 # ---------------------------------------------------------------------------

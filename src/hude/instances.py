@@ -176,15 +176,14 @@ def gen_hude(n: int, k: int, epsilon: float, s: float, seed: int) -> HudeInstanc
     half = n // 2
     worst: tuple[int, int, float] | None = None
     for attempt in range(_HUDE_RETRIES + 1):
-        matrix = random_fixed_size_supports(k, n, half, substream(seed, "hude-dataset", attempt))
+        dataset = random_fixed_size_supports(k, n, half, substream(seed, "hude-dataset", attempt))
         truth = int(substream(seed, "hude-truth", attempt).integers(0, k))
         # Equal-size supports: ||p_t - p_j||_1 = 2 - 4*|intersection|/n.
-        overlap = matrix[:, matrix[truth]].sum(axis=1)
+        overlap = np.unpackbits(dataset.columns[dataset.row(truth)], axis=1, count=k).sum(axis=0)
         dist = 2.0 - 4.0 * overlap / n
         dist[truth] = np.inf
         j = int(np.argmin(dist))
         if k == 1 or dist[j] >= epsilon:
-            dataset = Dataset(matrix)
             query = dataset.distribution(truth).sample(
                 m_query, substream(seed, "hude-query", attempt)
             )
@@ -211,17 +210,20 @@ def gen_urde(n: int, k: int, w_u: float, s: float, seed: int) -> UrdeInstance:
             f"exceeds {_MAX_POISSON_RATE:g}"
         )
 
-    matrix = random_bernoulli_supports(k, n, w_u, substream(seed, "urde-dataset"))
+    dataset = random_bernoulli_supports(k, n, w_u, substream(seed, "urde-dataset"))
     truth = int(substream(seed, "urde-truth").integers(0, k))
     resamples = 0
-    while not matrix[truth].any():
-        # Probability 2^-n event; perturb only the truth row.
-        matrix[truth] = random_bernoulli_supports(
-            1, n, w_u, substream(seed, "urde-resample", resamples)
-        )[0]
+    support = dataset.row(truth)
+    while not support.any():
+        # Probability (1 - w_u)^n event; perturb only the truth row.
+        redraw = random_bernoulli_supports(1, n, w_u, substream(seed, "urde-resample", resamples))
+        support = redraw.row(0)
         resamples += 1
-    dataset = Dataset(matrix)
-    card = int(np.count_nonzero(matrix[truth]))
+    if resamples:  # the truth row was empty: set its bit in each of its elements' columns
+        columns = dataset.columns.copy()
+        columns[support, truth >> 3] |= 0x80 >> (truth & 7)
+        dataset = Dataset.from_columns(columns, k)
+    card = int(np.count_nonzero(support))
     total = poisson(card / (s * w_u), substream(seed, "urde-querysize"))
     query = dataset.distribution(truth).sample(total, substream(seed, "urde-query"))
     return UrdeInstance(dataset, float(w_u), float(s), truth, query, seed, resamples)
@@ -234,16 +236,16 @@ def gen_gapss(n: int, k: int, w_u: float, w_q: float, seed: int) -> GapssInstanc
     if not 0 < w_q < w_u < 1:
         raise ValueError("parameters must satisfy 0 < w_q < w_u < 1")
 
-    matrix = random_bernoulli_supports(k, n, w_u, substream(seed, "gapss-dataset"))
+    dataset = random_bernoulli_supports(k, n, w_u, substream(seed, "gapss-dataset"))
     truth = int(substream(seed, "gapss-truth").integers(0, k))
     # Conditioned on the truth coordinate being 1, the query coordinate is 1
     # with probability w_q / w_u; where the truth is 0 the query is 0.
     q = np.zeros(n, dtype=bool)
-    ones = np.flatnonzero(matrix[truth])
+    ones = np.flatnonzero(dataset.row(truth))
     if ones.size:
         keep = substream(seed, "gapss-query").random(ones.size) < (w_q / w_u)
         q[ones[keep]] = True
-    return GapssInstance(Dataset(matrix), float(w_u), float(w_q), truth, SupportSet(q), seed)
+    return GapssInstance(dataset, float(w_u), float(w_q), truth, SupportSet(q), seed)
 
 
 # ---------------------------------------------------------------------------

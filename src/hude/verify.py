@@ -51,7 +51,8 @@ def _check_l1_values() -> str | None:
 def _check_dataset_roundtrip() -> str | None:
     # Past one codec block, with an empty and a full support.
     k, n = distributions._LINE_BLOCK + 3, 29
-    matrix = distributions.random_bernoulli_supports(k, n, 0.4, substream(11, "verify-roundtrip"))
+    drawn = distributions.random_bernoulli_supports(k, n, 0.4, substream(11, "verify-roundtrip"))
+    matrix = drawn.matrix.copy()
     matrix[5], matrix[k - 2] = False, True
     data = distributions.Dataset(matrix)
     text = distributions.dumps_dataset(data, {"tag": "verify"})

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.stats
 
 from hude.bench import ExperimentConfig, generate_point, run_elimination, run_sweep
-from hude.distributions import Dataset, random_fixed_size_supports
+from hude.distributions import random_fixed_size_supports
 from hude.instances import gen_gapss, reduce_gapss_to_urde, required_w_q
 from hude.rng import substream
 from hude.subset_index import IndexParams, preprocess, sample_probes
@@ -80,7 +80,7 @@ def test_criterion_04_bucket_size_law():
     """Mean bucket size over L=2000 probes within 15% of the exact
     hypergeometric product k * prod (n/2 - i)/(n - i), for ell in {2,3,4}."""
     k, n, L = 10_000, 500, 2_000
-    data = Dataset(random_fixed_size_supports(k, n, n // 2, substream(4, "bucket-law")))
+    data = random_fixed_size_supports(k, n, n // 2, substream(4, "bucket-law"))
     report = []
     for ell in (2, 3, 4):
         expected = k * math.prod((n / 2 - i) / (n - i) for i in range(ell))

@@ -6,6 +6,7 @@ vectorized counters must agree with it exactly.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -339,6 +340,20 @@ class TestAdaptiveSearch:
         assert err.value.trace, "accuracy trace missing"
         assert all(accuracy < 1.0 for _, accuracy in err.value.trace)
         assert err.value.point["k"] == 200
+
+
+class TestGeneratePoint:
+    def test_peak_memory_at_k50k(self):
+        # Supports are packed as they are drawn: the peak is the 3.1 MB of
+        # columns plus one block's buffers, not a 25 MB (k, n) bool matrix.
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            generate_point(500, 50_000, 50, seed=1, point_id=0, num_queries=100)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestRunSweep:

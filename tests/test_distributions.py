@@ -56,7 +56,7 @@ def _per_line(lines, n):
 
 def _drawn_columns(drawn):
     """The packed columns of what a support generator returns."""
-    return Dataset(drawn).columns
+    return drawn.columns
 
 
 class _QuarterRng:
@@ -165,8 +165,7 @@ class TestL1Distance:
         rng = substream(17, "l1-concentration")
         lo, hi = 1.0, 1.0
         for _ in range(1000):
-            matrix = random_fixed_size_supports(2, n, n // 2, rng)
-            data = Dataset(matrix)
+            data = random_fixed_size_supports(2, n, n // 2, rng)
             d = l1_distance(data.distribution(0), data.distribution(1))
             lo, hi = min(lo, d), max(hi, d)
         assert 0.8 <= lo and hi <= 1.2
@@ -355,7 +354,8 @@ class TestDatasetSerialization:
                                    2 * CODEC_BLOCK + 3])
     @pytest.mark.parametrize("n", [1, 9, 10, 11, 100, 101, 1001])
     def test_text_matches_the_per_row_formatter(self, k, n):
-        matrix = random_bernoulli_supports(k, n, 0.5, substream(k * 7919 + n, "codec"))
+        drawn = random_bernoulli_supports(k, n, 0.5, substream(k * 7919 + n, "codec"))
+        matrix = drawn.matrix.copy()
         matrix[0] = n % 2 == 0  # full or empty, when it is the only support
         if k > 1:
             matrix[0], matrix[-1] = False, True
@@ -401,7 +401,7 @@ class TestDatasetSerialization:
             raise AssertionError("a canonical block went to the per-line parse")
 
         k = 2 * CODEC_BLOCK + 3
-        matrix = random_bernoulli_supports(k, 1001, 0.5, substream(5, "codec"))
+        matrix = random_bernoulli_supports(k, 1001, 0.5, substream(5, "codec")).matrix.copy()
         matrix[0], matrix[-1] = False, True
         text = dumps_dataset(Dataset(matrix))
         monkeypatch.setattr(distributions, "_parse_lines", refuse)
@@ -445,7 +445,7 @@ class TestDatasetSerialization:
 
     @pytest.mark.parametrize("k", [1, 7, 8, 13, _ROW_BLOCK + 5])
     def test_packed_columns_round_trip(self, k):
-        matrix = random_bernoulli_supports(k, 9, 0.5, substream(k, "pack"))
+        matrix = random_bernoulli_supports(k, 9, 0.5, substream(k, "pack")).matrix
         ds = Dataset(matrix)
         assert ds.columns.shape == (9, -(-k // 8))
         assert np.array_equal(ds.matrix, matrix)
@@ -463,7 +463,7 @@ class TestDatasetSerialization:
 
 class TestRandomSupports:
     def test_fixed_size_rows(self):
-        matrix = random_fixed_size_supports(50, 30, 7, substream(2, "fs"))
+        matrix = random_fixed_size_supports(50, 30, 7, substream(2, "fs")).matrix
         assert matrix.shape == (50, 30)
         assert (matrix.sum(axis=1) == 7).all()
 
@@ -472,7 +472,7 @@ class TestRandomSupports:
         [(1, 1, 1, 0), (50, 30, 7, 1), (9, 8, 8, 2), (7, 500, 250, 3), (5000, 40, 20, 4)],
     )
     def test_threshold_selection_matches_argpartition(self, k, n, m, seed):
-        ours = random_fixed_size_supports(k, n, m, substream(seed, "eq"))
+        ours = random_fixed_size_supports(k, n, m, substream(seed, "eq")).matrix
         assert np.array_equal(ours, _argpartition_supports(k, n, m, substream(seed, "eq")))
 
     def test_tied_rows_fall_back_to_argpartition(self):
@@ -480,17 +480,17 @@ class TestRandomSupports:
         u = _QuarterRng(4).random((k, n))
         at_or_below = u <= np.partition(u, m - 1, axis=1)[:, m - 1 : m]
         assert (at_or_below.sum(axis=1) != m).any()  # the fallback path is taken
-        ours = random_fixed_size_supports(k, n, m, _QuarterRng(4))
+        ours = random_fixed_size_supports(k, n, m, _QuarterRng(4)).matrix
         assert np.array_equal(ours, _argpartition_supports(k, n, m, _QuarterRng(4)))
         assert (ours.sum(axis=1) == m).all()
 
     def test_bernoulli_mean(self):
-        matrix = random_bernoulli_supports(200, 100, 0.3, substream(2, "bern"))
+        matrix = random_bernoulli_supports(200, 100, 0.3, substream(2, "bern")).matrix
         mean = matrix.mean()
         assert abs(mean - 0.3) < 3.0 * math.sqrt(0.3 * 0.7 / matrix.size)
 
     def test_degenerate_full(self):
-        matrix = random_bernoulli_supports(5, 11, 1.0, substream(2, "full"))
+        matrix = random_bernoulli_supports(5, 11, 1.0, substream(2, "full")).matrix
         assert matrix.all()
 
     def test_size_cap(self):

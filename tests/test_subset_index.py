@@ -90,7 +90,7 @@ class TestPreprocess:
     @settings(max_examples=20, deadline=None)
     def test_bucket_soundness_and_completeness(self, seed):
         rng = substream(seed, "bucket-prop")
-        matrix = random_fixed_size_supports(30, 24, 12, rng)
+        matrix = random_fixed_size_supports(30, 24, 12, rng).matrix
         data = Dataset(matrix)
         index = preprocess(data, IndexParams(25, 3), seed=seed)
         for i in range(25):
@@ -110,7 +110,7 @@ class TestPreprocess:
     )
     @settings(max_examples=25, deadline=None)
     def test_masks_are_the_packed_and_of_probe_columns(self, L, k, ell, n, w, seed):
-        matrix = random_bernoulli_supports(k, n, w, substream(seed, "mask-prop"))
+        matrix = random_bernoulli_supports(k, n, w, substream(seed, "mask-prop")).matrix
         index = preprocess(Dataset(matrix), IndexParams(L, ell), seed=seed)
         masks = index.masks
         assert masks.shape == (L, -(-k // 8)) and masks.dtype == np.uint8
@@ -123,7 +123,7 @@ class TestPreprocess:
     def test_mean_bucket_size_matches_hypergeometric_product(self):
         # E|bucket| = k * prod_{i<ell} (n/2 - i)/(n - i) for half supports.
         k, n, L = 2000, 500, 1500
-        data = Dataset(random_fixed_size_supports(k, n, n // 2, substream(3, "bs")))
+        data = random_fixed_size_supports(k, n, n // 2, substream(3, "bs"))
         for ell in (2, 3):
             expected = k * math.prod((n / 2 - i) / (n - i) for i in range(ell))
             index = preprocess(data, IndexParams(L, ell), seed=ell)
@@ -288,13 +288,13 @@ class TestFalseAccepts:
         # Queries drawn from fresh distributions farther than eps from every
         # dataset member must come back not_found (no false certificates).
         n, k, eps, trials = 500, 100, 0.5, 1000
-        data = Dataset(random_fixed_size_supports(k, n, n // 2, substream(15, "ds")))
+        data = random_fixed_size_supports(k, n, n // 2, substream(15, "ds"))
         index = preprocess(data, IndexParams(2000, 3, variant="uj-certify"), seed=16)
         false_accepts = 0
         skipped = 0
         for t in range(trials):
             rng = substream(16, "absent", t)
-            absent = Dataset(random_fixed_size_supports(1, n, n // 2, rng)).distribution(0)
+            absent = random_fixed_size_supports(1, n, n // 2, rng).distribution(0)
             overlap = data.matrix[:, absent.support.bits].sum(axis=1)
             if (2.0 - 4.0 * overlap / n).min() <= eps:
                 skipped += 1
