@@ -19,7 +19,7 @@ from . import __version__
 from .bench import AdaptiveSearchError, ExperimentConfig, run_sweep
 from .distributions import OpCounter, write_rows
 from .elimination import eliminate
-from .instances import FAMILIES, GapssInstance, load_instance, save_instance
+from .instances import FAMILIES, GapssInstance, GenerationError, load_instance, save_instance
 from .rng import stream_key, substream
 from .subset_index import (
     VARIANT_BUCKET_ELIMINATE,
@@ -287,7 +287,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError) as err:
         _log(f"file error: {err}")
         return 1
-    except ValueError as err:
+    except (ValueError, GenerationError) as err:
         _log(f"error: {err}")
         return 1
 

@@ -70,6 +70,18 @@ class TestGen:
         assert "Traceback" not in done.stderr
         assert not out.exists()
 
+    def test_failed_separation_check_is_a_clean_error(self, tmp_path, capsys):
+        # 80,000 half supports of 10 of 20 elements: every draw holds a pair
+        # closer than eps = 0.5, so all 11 attempts fail the check.
+        out = tmp_path / "inst"
+        rc = main(["gen", "--problem", "hude", "--n", "20", "--k", "80000", "--s", "5",
+                   "--eps", "0.5", "--seed", "3", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: separation promise failed after 10 retries" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "problem, given, message",
         [
