@@ -191,13 +191,18 @@ _ROW_BLOCK = 1024
 _BIT_WEIGHTS = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)
 
 
-def _pack_rows(block: np.ndarray) -> np.ndarray:
-    """(n, ceil(r/8)) column bytes of an (r, n) bool block: ``np.packbits(block, axis=0).T``."""
+def _pack_rows(block: np.ndarray, columns: np.ndarray, start: int) -> None:
+    """Write the (r, n) bool rows ``block`` into ``columns`` as supports start, ..., start + r - 1.
+
+    ``start`` is a multiple of 8.  The bytes are ``np.packbits(block, axis=0).T``:
+    row i is bit 7 - i % 8, and the bits past the last row are zero.
+    """
     rows, n = block.shape
     if rows % 8:
         block = np.concatenate([block, np.zeros((-rows % 8, n), dtype=bool)])
     octets = block.view(np.uint8).reshape(len(block) // 8, 8, n)
-    return np.einsum("jbn,b->nj", octets, _BIT_WEIGHTS, dtype=np.uint8)
+    packed = np.einsum("jbn,b->nj", octets, _BIT_WEIGHTS, dtype=np.uint8)
+    columns[:, start // 8 : start // 8 + len(octets)] = packed
 
 
 class Dataset:
@@ -219,8 +224,7 @@ class Dataset:
         self.k, self.n = (int(d) for d in matrix.shape)
         columns = np.empty((self.n, -(-self.k // 8)), dtype=np.uint8)
         for start in range(0, self.k, _ROW_BLOCK):
-            block = matrix[start : start + _ROW_BLOCK]
-            columns[:, start // 8 : (start + _ROW_BLOCK) // 8] = _pack_rows(block)
+            _pack_rows(matrix[start : start + _ROW_BLOCK], columns, start)
         columns.flags.writeable = False
         self.columns = columns
 
@@ -322,7 +326,7 @@ def random_fixed_size_supports(k: int, n: int, m: int, rng: np.random.Generator)
         if tied.size:
             block[tied] = False
             block[tied[:, None], np.argpartition(u[tied], m - 1, axis=1)[:, :m]] = True
-        columns[:, start // 8 : (start + _ROW_BLOCK) // 8] = _pack_rows(block)
+        _pack_rows(block, columns, start)
     return Dataset.from_columns(columns, k)
 
 
@@ -341,7 +345,7 @@ def random_bernoulli_supports(k: int, n: int, w: float, rng: np.random.Generator
         if k - start < len(u):
             u, block = u[: k - start], block[: k - start]
         np.less(rng.random(out=u), w, out=block)
-        columns[:, start // 8 : (start + _ROW_BLOCK) // 8] = _pack_rows(block)
+        _pack_rows(block, columns, start)
     return Dataset.from_columns(columns, k)
 
 
