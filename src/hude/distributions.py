@@ -284,9 +284,9 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
-# Largest support matrix a generator draws, in k * n cells.  At the cap,
-# `hude gen --problem hude` peaks at 0.6 GB resident with n=500 and at 4.8 GB
-# with k=2, n=5e7 (its query alone is 1e7 samples).
+# Largest dataset a generator draws or a file declares, in k * n cells.  At the
+# cap, `hude gen --problem hude` peaks at 0.1 GB resident with n=500; a long
+# domain costs more (with k=2, n=5e7 its query alone is 1e7 samples).
 MAX_DATASET_CELLS = 100_000_000
 
 
