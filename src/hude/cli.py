@@ -156,7 +156,8 @@ def _cmd_gen(args) -> int:
 def _cmd_query(args) -> int:
     instance = load_instance(args.instance)
     if isinstance(instance, GapssInstance):
-        _log("query runs on sample-based instances; reduce gapss with hude.reduce_gapss_to_urde")
+        _log("query runs on sample-based instances; "
+             "reduce gapss with hude.instances.reduce_gapss_to_urde")
         return 2
     counter = OpCounter()
     epsilon = args.eps if args.eps is not None else getattr(instance, "epsilon", 1.0)
@@ -284,7 +285,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (FileNotFoundError, IsADirectoryError) as err:
+    except OSError as err:
         _log(f"file error: {err}")
         return 1
     except (ValueError, GenerationError) as err:

@@ -132,7 +132,7 @@ class QueryMultiset:
     stream in that order so op counts are reproducible.
     """
 
-    __slots__ = ("counts", "distinct", "total", "order")
+    __slots__ = ("distinct", "order")
 
     def __init__(self, n: int, order: np.ndarray):
         order = np.asarray(order, dtype=np.int64)
@@ -141,12 +141,9 @@ class QueryMultiset:
         if order.size and (order.min() < 0 or order.max() >= n):
             raise ValueError(f"sample outside domain [0, {n})")
         self.order = order
-        self.total = int(order.size)
-        counts: dict[int, int] = {}
-        for element in order.tolist():
-            counts[element] = counts.get(element, 0) + 1
-        self.counts = counts
-        self.distinct = SupportSet.from_indices(n, counts.keys())
+        bits = np.zeros(int(n), dtype=bool)
+        bits[order] = True
+        self.distinct = SupportSet(bits)
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "QueryMultiset":
@@ -160,10 +157,12 @@ class QueryMultiset:
 
     def pairs(self) -> list[tuple[int, int]]:
         """(element, multiplicity) pairs in first-appearance order."""
-        return [(e, c) for e, c in self.counts.items()]
+        elements, first, counts = np.unique(self.order, return_index=True, return_counts=True)
+        by_first = np.argsort(first)
+        return list(zip(elements[by_first].tolist(), counts[by_first].tolist()))
 
     def __repr__(self) -> str:
-        return f"QueryMultiset(total={self.total}, distinct={self.distinct.cardinality})"
+        return f"QueryMultiset(total={self.order.size}, distinct={self.distinct.cardinality})"
 
 
 def l1_distance(p: HalfUniformDistribution, q: HalfUniformDistribution) -> float:
@@ -263,6 +262,16 @@ class Dataset:
         if not 0 <= j < self.k:
             raise IndexError(f"support {j} outside [0, {self.k})")
         return (self.columns[:, j >> 3] & (0x80 >> (j & 7))) != 0
+
+    def overlaps(self, j: int) -> np.ndarray:
+        """|supp(j) & supp(i)| for every support i, unpacking ``_ROW_BLOCK`` supports at a time."""
+        columns = self.columns[self.row(j)]
+        overlap = np.empty(self.k, dtype=np.int64)
+        for start in range(0, self.k, _ROW_BLOCK):
+            stop = min(start + _ROW_BLOCK, self.k)
+            bits = np.unpackbits(columns[:, start // 8 : -(-stop // 8)], axis=1, count=stop - start)
+            overlap[start:stop] = bits.sum(axis=0)
+        return overlap
 
     def support(self, j: int) -> SupportSet:
         return SupportSet(self.row(j))

@@ -20,6 +20,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+# distributions.save_dataset and load_dataset are looked up at call time, for wrappers.
+from . import __version__, distributions
 from .distributions import (
     Dataset,
     QueryMultiset,
@@ -179,8 +181,7 @@ def gen_hude(n: int, k: int, epsilon: float, s: float, seed: int) -> HudeInstanc
         dataset = random_fixed_size_supports(k, n, half, substream(seed, "hude-dataset", attempt))
         truth = int(substream(seed, "hude-truth", attempt).integers(0, k))
         # Equal-size supports: ||p_t - p_j||_1 = 2 - 4*|intersection|/n.
-        overlap = np.unpackbits(dataset.columns[dataset.row(truth)], axis=1, count=k).sum(axis=0)
-        dist = 2.0 - 4.0 * overlap / n
+        dist = 2.0 - 4.0 * dataset.overlaps(truth) / n
         dist[truth] = np.inf
         j = int(np.argmin(dist))
         if k == 1 or dist[j] >= epsilon:
@@ -323,8 +324,6 @@ _FORMAT_VERSION = 1
 
 
 def _sidecar_dict(instance) -> dict:
-    from . import __version__
-
     for problem, family in FAMILIES.items():
         if isinstance(instance, family.instance_type):
             break
@@ -355,9 +354,7 @@ def save_instance(instance, outdir) -> None:
     os.makedirs(outdir, exist_ok=True)
     sidecar = _sidecar_dict(instance)
     dataset_meta = {key: sidecar[key] for key in sidecar if not key.startswith("query")}
-    from .distributions import save_dataset
-
-    save_dataset(instance.dataset, os.path.join(outdir, DATASET_FILENAME), dataset_meta)
+    distributions.save_dataset(instance.dataset, os.path.join(outdir, DATASET_FILENAME), dataset_meta)
     with open(os.path.join(outdir, SIDECAR_FILENAME), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(sidecar, sort_keys=True, separators=(",", ":")) + "\n")
 
@@ -368,9 +365,7 @@ def load_instance(outdir):
     Raises ValueError naming the sidecar key that is missing or malformed,
     or the sidecar field that disagrees with the dataset header.
     """
-    from .distributions import load_dataset
-
-    dataset, _ = load_dataset(os.path.join(outdir, DATASET_FILENAME))
+    dataset, _ = distributions.load_dataset(os.path.join(outdir, DATASET_FILENAME))
     path = os.path.join(outdir, SIDECAR_FILENAME)
     with open(path, "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)

@@ -128,7 +128,7 @@ def test_criterion_06_poissonization_equivalence():
             reduced = reduce_gapss_to_urde(g, s, seed=seed + 500_000)
             support = np.flatnonzero(g.dataset.matrix[g.truth_index])
             per_element = np.zeros(n, dtype=np.int64)
-            for element, count in reduced.query.counts.items():
+            for element, count in dict(reduced.query.pairs()).items():
                 per_element[element] = count
             observed = per_element[support]
             binned = np.minimum(observed, 3)

@@ -160,7 +160,7 @@ class TestQuery:
         out = tmp_path / "inst"
         main(_gen_args(out, "gapss"))
         assert main(["query", "--instance", str(out), "--algorithm", "elimination"]) == 2
-        assert "hude.reduce_gapss_to_urde" in capsys.readouterr().err
+        assert "hude.instances.reduce_gapss_to_urde" in capsys.readouterr().err
 
     def test_num_probes_above_the_cap_is_a_clean_error(self, tmp_path, capsys):
         # 2e9 probes of 3 elements would need about 15 GB before any check.
@@ -448,6 +448,31 @@ class TestTradeoff:
                   "--out", str(tmp_path / "x.csv")])
         assert err.value.code == 2
         assert not (tmp_path / "x.csv").exists()
+
+
+class TestPathThroughAFile:
+    # Each path runs through a regular file, so opening it raises
+    # NotADirectoryError; main must return 1 with the message, not raise.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--problem", "hude", "--n", "100", "--k", "20", "--s", "5", "--eps", "0.5",
+             "--out", "{afile}/x"],
+            ["query", "--instance", "{afile}", "--algorithm", "elimination"],
+            ["bench", "--sweep", "k", "--values", "100", "--queries", "4", "--out",
+             "{afile}/x.csv"],
+            ["tradeoff", "--rho-u", "0.5", "--s-grid", "20:40:lin2", "--out", "{afile}/x.csv"],
+        ],
+        ids=["gen", "query", "bench", "tradeoff"],
+    )
+    def test_is_a_file_error(self, tmp_path, capsys, argv):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main([a.format(afile=afile) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert "file error:" in err
+        assert "Not a directory" in err
+        assert "Traceback" not in err
 
 
 class TestVerifyAndUsage:

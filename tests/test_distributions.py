@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -174,14 +175,14 @@ class TestL1Distance:
 class TestSampling:
     def test_zero_samples(self):
         q = _dist(8, [1, 2]).sample(0, substream(1, "s"))
-        assert q.total == 0
+        assert q.order.size == 0
         assert q.distinct.cardinality == 0
-        assert q.counts == {}
+        assert dict(q.pairs()) == {}
 
     def test_singleton_support(self):
         q = _dist(8, [5]).sample(3, substream(1, "s"))
-        assert q.counts == {5: 3}
-        assert q.total == 3
+        assert dict(q.pairs()) == {5: 3}
+        assert q.order.size == 3
 
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError):
@@ -226,17 +227,18 @@ class TestQueryMultiset:
         n = data.draw(st.integers(1, 30))
         draws = data.draw(st.lists(st.integers(0, n - 1), max_size=60))
         q = QueryMultiset(n, np.asarray(draws, dtype=np.int64))
-        assert q.total == len(draws)
-        assert sum(q.counts.values()) == q.total
-        assert set(q.counts) == set(draws)
+        assert q.order.size == len(draws)
+        assert sum(dict(q.pairs()).values()) == q.order.size
+        assert set(dict(q.pairs())) == set(draws)
+        assert q.pairs() == list(Counter(draws).items())  # first-appearance order
         assert q.distinct.cardinality == len(set(draws))
-        assert q.distinct.cardinality <= max(q.total, 0) or q.total == 0
+        assert q.distinct.cardinality <= max(q.order.size, 0) or q.order.size == 0
 
     def test_pairs_round_trip_preserves_counts(self):
         q = QueryMultiset(10, np.asarray([3, 1, 3, 7, 1, 3]))
         back = QueryMultiset.from_pairs(10, q.pairs())
-        assert back.counts == q.counts
-        assert back.total == q.total
+        assert dict(back.pairs()) == dict(q.pairs())
+        assert back.order.size == q.order.size
 
     def test_out_of_domain_sample_rejected(self):
         with pytest.raises(ValueError):
@@ -245,6 +247,16 @@ class TestQueryMultiset:
     def test_nonpositive_multiplicity_rejected(self):
         with pytest.raises(ValueError):
             QueryMultiset.from_pairs(4, [(1, 0)])
+
+
+class TestOverlaps:
+    @pytest.mark.parametrize("j", [0, 1029, 2499])
+    def test_match_the_matrix_across_blocks(self, j):
+        # 2,500 supports: two whole blocks of 1,024 and a last one of 452,
+        # which ends inside a byte.
+        matrix = substream(9, "overlaps").random((2500, 40)) < 0.5
+        expected = matrix.astype(np.int64) @ matrix[j]
+        np.testing.assert_array_equal(Dataset(matrix).overlaps(j), expected)
 
 
 class TestDatasetSerialization:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,8 +32,8 @@ class TestGenHude:
         inst = gen_hude(4, 1, 1.0, 2.0, seed=0)
         assert inst.truth_index == 0
         assert inst.dataset.support(0).cardinality == 2
-        assert inst.query.total == 2
-        assert set(inst.query.counts) <= set(inst.dataset.support(0).indices.tolist())
+        assert inst.query.order.size == 2
+        assert set(dict(inst.query.pairs())) <= set(inst.dataset.support(0).indices.tolist())
 
     def test_default_experiment_shape(self):
         # The benchmark default instance shape: k=50000 supports of size 250
@@ -40,7 +41,7 @@ class TestGenHude:
         inst = gen_hude(500, 50000, 0.5, 10.0, seed=1)
         assert inst.dataset.k == 50000
         assert inst.dataset.n == 500
-        assert inst.query.total == 50
+        assert inst.query.order.size == 50
         sizes = inst.dataset.matrix.sum(axis=1)
         assert (sizes == 250).all()
 
@@ -58,6 +59,18 @@ class TestGenHude:
             gen_hude(500, 1000, 0.5, 10.0, seed=seed).attempts == 1 for seed in range(100)
         )
         assert first_try >= 99
+
+    def test_separation_check_peak_memory_at_k50k(self):
+        # The check unpacks one block of the truth's columns at a time, not
+        # an (n/2, k) array (12.5 MB here); the peak stays near generation's.
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            gen_hude(500, 50_000, 0.5, 10.0, 1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * 2**20
 
     def test_unsatisfiable_promise_raises_with_pair(self):
         # eps=2 requires disjoint supports, impossible for half supports of
@@ -83,7 +96,7 @@ class TestGenUrde:
         # E[total] = E[|supp|]/(s*w_u) = n/s by the law of total expectation.
         n, s, reps = 1000, 10.0, 2000
         totals = np.array(
-            [gen_urde(n, 2, 0.5, s, seed=seed).query.total for seed in range(reps)],
+            [gen_urde(n, 2, 0.5, s, seed=seed).query.order.size for seed in range(reps)],
             dtype=float,
         )
         stderr = totals.std(ddof=1) / math.sqrt(reps)
@@ -189,7 +202,7 @@ class TestReduction:
         reduced = reduce_gapss_to_urde(g, 10.0, seed=12)
         assert reduced.truth_index == g.truth_index
         assert reduced.w_u == g.w_u
-        query_elements = set(reduced.query.counts)
+        query_elements = set(dict(reduced.query.pairs()))
         assert query_elements == set(g.query.indices.tolist())
 
     def test_empty_query_maps_to_empty_query(self):
@@ -198,7 +211,7 @@ class TestReduction:
             g.dataset, g.w_u, g.w_q, g.truth_index, SupportSet.from_indices(64, []), g.seed
         )
         reduced = reduce_gapss_to_urde(silent, 10.0, seed=14)
-        assert reduced.query.total == 0
+        assert reduced.query.order.size == 0
 
     def test_mismatched_parameters_report_both_sides(self):
         g = gen_gapss(64, 4, 0.5, 0.05, seed=15)
@@ -217,7 +230,7 @@ class TestReduction:
             reduced = reduce_gapss_to_urde(g, s, seed=seed + 10_000)
             support = g.dataset.matrix[g.truth_index]
             per_element = np.zeros(200, dtype=float)
-            for e, c in reduced.query.counts.items():
+            for e, c in dict(reduced.query.pairs()).items():
                 per_element[e] = c
             counts.extend(per_element[support].tolist())
         counts = np.asarray(counts)
@@ -366,4 +379,4 @@ class TestCorruptedSidecar:
 
     def test_query_pairs_suffice_without_stream(self, tmp_path):
         out = _corrupt_sidecar(tmp_path, _without("query_stream"))
-        assert load_instance(out).query.total > 0
+        assert load_instance(out).query.order.size > 0
