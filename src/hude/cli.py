@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -36,6 +37,16 @@ from .verify import SUITES, run_suite
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+def _check_writable(path) -> None:
+    """Raise the ``OSError`` that writing ``path`` would, creating and truncating nothing."""
+    try:
+        open(path, "x").close()
+    except FileExistsError:
+        open(path, "a").close()  # append mode keeps the file's bytes
+    else:
+        os.remove(path)
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -222,6 +233,7 @@ def _cmd_bench(args) -> int:
     }
     overrides = {key: value for key, value in flags.items() if value is not None}
     config = ExperimentConfig.from_json(payload, overrides)
+    _check_writable(args.out)
     _log(f"sweeping {config.sweep_param} over {list(config.sweep_values)} (seed {config.seed})")
     try:
         rows = run_sweep(config)
@@ -238,6 +250,7 @@ def _cmd_bench(args) -> int:
 def _cmd_tradeoff(args) -> int:
     curves = tuple(c for c in args.curves.split(",") if c)
     opts = SearchOptions(tu_points=args.tu_points, tq_points=args.tq_points)
+    _check_writable(args.out)
     rows = tradeoff_rows(
         args.rho_u,
         args.s_grid,

@@ -65,25 +65,19 @@ def coupling_kl(t_q, t_u, w_q, w_u):
 
 
 def objective(t_q, t_u, w_q, w_u, alpha):
-    """The constrained ratio objective, expanded form.
+    """The constrained ratio objective, alpha * g_q + (1 - alpha) * g_u (see _gaps).
 
-    [(t_u-t_q) log((t_u-t_q)/(w_u-w_q)) + alpha*d(t_u||w_u) - t_u log(t_u/w_u)
-     - alpha*d(t_q||w_q) + t_q log(t_q/w_q)] / d(t_u||w_u)
-
-    The denominator vanishes at t_u == w_u, which is excluded from the domain.
+    The domain is 0 <= t_q <= t_u <= 1 less the line t_u == w_u, where the
+    denominator vanishes.
     """
+    t_q_arr = np.asarray(t_q, dtype=np.float64)
     t_u_arr = np.asarray(t_u, dtype=np.float64)
     if np.any(t_u_arr == w_u):
         raise ValueError("objective undefined at t_u == w_u (zero denominator)")
-    den = kl_binary(t_u_arr, w_u)
-    num = (
-        _xlog_ratio(t_u_arr - np.asarray(t_q, dtype=np.float64), w_u - w_q)
-        + alpha * den
-        - _xlog_ratio(t_u_arr, w_u)
-        - alpha * kl_binary(t_q, w_q)
-        + _xlog_ratio(t_q, w_q)
-    )
-    out = num / den
+    if np.any((t_q_arr < 0.0) | (t_q_arr > t_u_arr) | (t_u_arr > 1.0)):
+        raise ValueError("objective needs 0 <= t_q <= t_u <= 1")
+    g_q, g_u = _gaps(t_q_arr, t_u_arr, w_q, w_u)
+    out = alpha * g_q + (1.0 - alpha) * g_u
     if np.ndim(out) == 0:
         return float(out)
     return out
@@ -107,20 +101,30 @@ def objective_from_divergences(t_q, t_u, w_q, w_u, alpha):
     return out
 
 
-def entropy_gap(x):
-    """x log(2x) + (1-x) log(2(1-x)); equals kl_binary(x, 1/2).
+def _gaps(t_q, t_u, w_q, w_u):
+    """The objective's alpha-free terms on float arrays of feasible (t_q, t_u).
 
-    At the boundary points 0 and 1 the limit value log 2 is returned.
+    By the KL chain rule the two numerator gaps have cancellation-free forms
+        D - d(t_u||w_u) = t_u * d(t_q/t_u || w_q/w_u)
+        D - d(t_q||w_q) = (1-t_q) * d((t_u-t_q)/(1-t_q) || (w_u-w_q)/(1-w_q)),
+    both manifestly nonnegative, so the ratio never takes the wrong sign;
+    g_q and g_u are these gaps over d(t_u||w_u), and F = alpha * g_q +
+    (1 - alpha) * g_u.  Near the excluded band each ``kl_binary`` of nearby
+    arguments still cancels: at w_q = t_q = 0.02, w_u = 0.5, alpha 0.7, F is
+    off by about 3e-7 at t_u = w_u + 1e-5 and 5e-4 at w_u + 1e-7 (against
+    60-digit arithmetic).  The curve's minima lie far from the band.
     """
-    x_arr = np.asarray(x, dtype=np.float64)
-    if np.any((x_arr < 0) | (x_arr > 1)):
-        raise ValueError("argument must lie in [0, 1]")
+    d_u = kl_binary(t_u, w_u)
+    # The conditional divergences are nonnegative exactly; flooring them at 0
+    # removes sign noise that the 1/d_u amplification would otherwise blow up.
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = x_arr * np.log(2.0 * x_arr) + (1.0 - x_arr) * np.log(2.0 * (1.0 - x_arr))
-    out = np.where((x_arr == 0.0) | (x_arr == 1.0), LOG2, out)
-    if out.ndim == 0:
-        return float(out)
-    return out
+        cond_q = np.where(t_u > 0.0, t_q / np.where(t_u > 0.0, t_u, 1.0), 0.0)
+        gap_u = t_u * np.maximum(kl_binary(np.clip(cond_q, 0.0, 1.0), w_q / w_u), 0.0)
+        cond_u = np.where(t_q < 1.0, (t_u - t_q) / (1.0 - t_q), 0.0)
+        gap_q = (1.0 - t_q) * np.maximum(
+            kl_binary(np.clip(cond_u, 0.0, 1.0), (w_u - w_q) / (1.0 - w_q)), 0.0
+        )
+        return gap_q / d_u, gap_u / d_u
 
 
 # ---------------------------------------------------------------------------
@@ -183,51 +187,20 @@ def _tq_axis(w_q: float, points: int) -> np.ndarray:
     return axis[(axis >= 0.0) & (axis <= 1.0)]
 
 
-def _terms_on_axes(tq_axis: np.ndarray, tu_axis: np.ndarray, w_q: float, w_u: float):
-    """Alpha-independent pieces of the objective on an outer grid.
-
-    By the KL chain rule the two numerator gaps have cancellation-free forms
-        D - d(t_u||w_u) = t_u * d(t_q/t_u || w_q/w_u)
-        D - d(t_q||w_q) = (1-t_q) * d((t_u-t_q)/(1-t_q) || (w_u-w_q)/(1-w_q)),
-    both manifestly nonnegative, so the ratio never takes the wrong sign.
-    Near the excluded band it is no more accurate than the expanded form:
-    each ``kl_binary`` of nearby arguments still cancels.  At w_q = t_q =
-    0.02, w_u = 0.5, alpha 0.7 both forms are off by about 3e-7 at
-    t_u = w_u + 1e-5 and 5e-4 at w_u + 1e-7 (against 60-digit arithmetic).
-    The curve does not depend on it: its minima lie far from the band.
-    Pointwise the objective is affine in alpha:
-        F = alpha * g_q + (1 - alpha) * g_u
-    with g_q, g_u the two gaps over d(t_u||w_u).  Infeasible points carry
-    g_q = +inf, g_u = 0.
-    """
-    tu_col = tu_axis[:, None]
-    tq_row = tq_axis[None, :]
-    feasible = (tq_row == 0.0) | (tq_row <= tu_col - _EDGE_MARGIN)
-    d_u = kl_binary(tu_col, w_u)
-    # The conditional divergences are nonnegative exactly; flooring them at 0
-    # removes sign noise that the 1/d_u amplification would otherwise blow up.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond_q = np.where(tu_col > 0.0, tq_row / np.where(tu_col > 0.0, tu_col, 1.0), 0.0)
-        gap_u = tu_col * np.maximum(kl_binary(np.clip(cond_q, 0.0, 1.0), w_q / w_u), 0.0)
-        cond_u = (tu_col - tq_row) / (1.0 - tq_row)
-        gap_q = (1.0 - tq_row) * np.maximum(
-            kl_binary(np.clip(cond_u, 0.0, 1.0), (w_u - w_q) / (1.0 - w_q)), 0.0
-        )
-        g_q = gap_q / d_u
-        g_u = gap_u / d_u
-    g_q = np.where(feasible, g_q, np.inf)
-    g_u = np.where(feasible, g_u, 0.0)
-    return g_q, g_u
-
-
 def _grid_minimizer(tq_axis: np.ndarray, tu_axis: np.ndarray, w_q: float, w_u: float):
     """alpha -> (value, t_q, t_u) of the objective's minimum on the product grid.
 
     The alpha-independent terms are computed once; each call writes
-    F = g_u + alpha * (g_q - g_u) into one reused buffer.
+    F = g_u + alpha * (g_q - g_u) into one reused buffer.  Infeasible points
+    get slope 0 and g_u = +inf, so F = +inf there even at alpha = 0.
     """
-    g_q, g_u = _terms_on_axes(tq_axis, tu_axis, w_q, w_u)
+    tu_col = tu_axis[:, None]
+    tq_row = tq_axis[None, :]
+    g_q, g_u = _gaps(tq_row, tu_col, w_q, w_u)
+    infeasible = (tq_row != 0.0) & (tq_row > tu_col - _EDGE_MARGIN)
     slope = np.subtract(g_q, g_u, out=g_q)
+    slope[infeasible] = 0.0
+    g_u[infeasible] = np.inf
     values = np.empty_like(g_u)
 
     def grid_min(alpha: float) -> tuple[float, float, float]:
@@ -242,8 +215,8 @@ def _grid_minimizer(tq_axis: np.ndarray, tu_axis: np.ndarray, w_q: float, w_u: f
 def _objective_scalar(t_q: float, t_u: float, w_q: float, w_u: float, alpha: float) -> float:
     """Pure-scalar objective for the polish loop (feasible interior assumed).
 
-    Uses the chain-rule split of the numerator (see _terms_on_axes), which
-    loses precision next to the excluded band as the expanded form does.
+    The scalar twin of :func:`_gaps`: the same chain-rule split of the
+    numerator, with the same loss of precision next to the excluded band.
     """
 
     def xlr(x: float, ref: float) -> float:

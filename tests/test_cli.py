@@ -475,6 +475,43 @@ class TestPathThroughAFile:
         assert "Traceback" not in err
 
 
+class TestOutputCheckedFirst:
+    # A bad --out must fail before the sweep or curve it would hold is computed.
+    @pytest.mark.parametrize(
+        "argv, work",
+        [
+            (["bench", "--sweep", "k", "--values", "100", "--queries", "4"], "run_sweep"),
+            (["tradeoff", "--rho-u", "0.5", "--s-grid", "20:40:lin2"], "tradeoff_rows"),
+        ],
+        ids=["bench", "tradeoff"],
+    )
+    def test_bad_out_fails_before_the_work(self, tmp_path, capsys, monkeypatch, argv, work):
+        def not_called(*args, **kwargs):
+            raise AssertionError(f"{work} ran before --out was checked")
+
+        monkeypatch.setattr(f"hude.cli.{work}", not_called)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main([*argv, "--out", str(afile / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "file error:" in err
+        assert "Traceback" not in err
+
+    def test_existing_out_kept_until_rows_are_ready(self, tmp_path, monkeypatch):
+        def failing_sweep(config):
+            raise ValueError("sweep failed")
+
+        monkeypatch.setattr("hude.cli.run_sweep", failing_sweep)
+        out = tmp_path / "rows.csv"
+        out.write_text("previous rows\n")
+        argv = ["bench", "--sweep", "k", "--values", "100", "--queries", "4", "--out", str(out)]
+        assert main(argv) == 1
+        assert out.read_text() == "previous rows\n"
+        missing = tmp_path / "missing.csv"
+        assert main([*argv[:-1], str(missing)]) == 1
+        assert not missing.exists()
+
+
 class TestVerifyAndUsage:
     def test_verify_suite_passes(self, capsys):
         rc = main(["verify", "--suite", "distributions"])

@@ -14,7 +14,6 @@ from hude.tradeoff import (
     TradeoffPoint,
     analytic_lower_bound,
     coupling_kl,
-    entropy_gap,
     gapss_explicit_bound,
     kl_binary,
     minimize_objective,
@@ -100,8 +99,8 @@ class TestObjective:
         assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))))
 
     def test_internal_evaluation_matches_public_codings(self):
-        # The minimizer's chain-rule evaluation must agree with the expanded
-        # public form away from the removed line.
+        # The polish's scalar coding must agree with the grid's vectorized
+        # one, which the public objective reads, away from the removed line.
         from hude.tradeoff import _objective_scalar
 
         rng = np.random.default_rng(12)
@@ -140,6 +139,20 @@ class TestObjective:
         with pytest.raises(ValueError):
             objective(0.01, 0.5, 0.02, 0.5, 0.5)
 
+    @pytest.mark.parametrize("t_q, t_u", [(1.0, 1.0), (0.0, 0.0), (0.0, 1.0), (0.3, 1.0)])
+    @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
+    def test_corners_match_definition(self, t_q, t_u, alpha):
+        # At t_q = 1 the chain rule's (t_u - t_q) / (1 - t_q) is 0/0.
+        a = objective(t_q, t_u, 0.02, 0.5, alpha)
+        b = objective_from_divergences(t_q, t_u, 0.02, 0.5, alpha)
+        assert math.isfinite(a)
+        assert abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+
+    def test_outside_triangle_rejected(self):
+        for t_q, t_u in ((-0.1, 0.3), (0.4, 0.3), (0.2, 1.1)):
+            with pytest.raises(ValueError):
+                objective(t_q, t_u, 0.02, 0.5, 0.5)
+
 
 class TestMinimizeObjective:
     def test_small_density_lower_inequality(self):
@@ -175,6 +188,24 @@ class TestMinimizeObjective:
         for alpha in (0.2, 0.6, 1.0):
             result = minimize_objective(0.05, 0.5, alpha)
             assert result.value >= 0.0
+
+    @pytest.mark.parametrize("w_q", [1e-3, 1e-4, 1e-5, 0.05])
+    def test_reported_value_is_objective_at_reported_point(self, w_q):
+        # The value the solver reports must be the public objective there.
+        bound = query_exponent_lower_bound(w_q, 0.5, 0.5)
+        cases = [(bound.infimum, bound.alpha)]
+        for alpha in (0.0, 0.5, 1.0, 1.0 + 1.0 / math.log(w_q)):
+            cases.append((minimize_objective(w_q, 0.5, alpha), alpha))
+        for res, alpha in cases:
+            value = objective(res.t_q, res.t_u, w_q, 0.5, alpha)
+            assert abs(value - res.value) <= 1e-14 * max(1.0, abs(res.value)), (alpha, res)
+
+    def test_zero_weight_infimum_is_zero(self):
+        # At alpha = 0, F = g_u >= 0 vanishes at t_q = t_u = 0.
+        for w_q in (1e-3, 0.05):
+            result = minimize_objective(w_q, 0.5, 0.0)
+            assert result.value == 0.0
+            assert 0.0 <= result.t_q <= result.t_u <= 1.0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -493,23 +524,16 @@ class TestClosedFormCurves:
 
 
 class TestEntropyGap:
+    # The paper's H(x) is d(x || 1/2).
     def test_zero_at_half(self):
-        assert entropy_gap(0.5) == 0.0
+        assert kl_binary(0.5, 0.5) == 0.0
 
     def test_quadratic_bounds_on_grid(self):
         xs = np.linspace(0.0, 1.0, 10_002)[1:-1]
-        h = entropy_gap(xs)
+        h = kl_binary(xs, 0.5)
         gap = (0.5 - xs) ** 2
         assert np.all(h >= 2.0 * gap)
         assert np.all(h <= 16.0 * gap)
-
-    def test_equals_divergence_from_half(self):
-        xs = np.linspace(1e-6, 1.0 - 1e-6, 4001)
-        assert np.max(np.abs(entropy_gap(xs) - kl_binary(xs, 0.5))) <= 1e-12
-
-    def test_boundary_limit_flagged(self):
-        assert entropy_gap(0.0) == pytest.approx(LOG2)
-        assert entropy_gap(1.0) == pytest.approx(LOG2)
 
 
 class TestCurveEmission:
