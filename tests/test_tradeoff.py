@@ -425,6 +425,74 @@ class TestSearchSizeCaps:
             query_exponent_lower_bound(required_w_q(0.5, 20.0), 0.5, 0.5, alpha_points=10_002)
 
 
+class TestGridBuild:
+    """`_grid_minimizer` against a one-shot build of the whole grid.
+
+    The grid's terms are elementwise, so however the build is split into
+    t_u rows, each grid minimum must be the one-shot build's float for float.
+    """
+
+    ROW_BLOCK = 32  # rows per block of the grid build
+    ALPHAS = (0.0, 0.01, 0.5, 0.97, 1.0)
+
+    @staticmethod
+    def one_shot(tq_axis, tu_axis, w_q, w_u, alpha):
+        """((value, t_q, t_u), argmin row) from the full grid built at once."""
+        from hude.tradeoff import _EDGE_MARGIN, _gaps
+
+        tu_col = tu_axis[:, None]
+        tq_row = tq_axis[None, :]
+        g_q, g_u = _gaps(tq_row, tu_col, w_q, w_u)
+        infeasible = (tq_row != 0.0) & (tq_row > tu_col - _EDGE_MARGIN)
+        slope = g_q - g_u
+        slope[infeasible] = 0.0
+        g_u[infeasible] = np.inf
+        values = slope * alpha + g_u
+        iu, iq = np.unravel_index(int(np.argmin(values)), values.shape)
+        return (float(values[iu, iq]), float(tq_axis[iq]), float(tu_axis[iu])), int(iu)
+
+    @staticmethod
+    def picks(axis, count):
+        return axis[np.linspace(0, axis.size - 1, count).round().astype(int)]
+
+    def check(self, tu_axis, s, alphas=ALPHAS):
+        """Compare every alpha; return the one-shot argmin row of each."""
+        from hude.tradeoff import _grid_minimizer, _tq_axis
+
+        w_q = required_w_q(0.5, s)
+        tq_axis = _tq_axis(w_q, 241)
+        grid_min = _grid_minimizer(tq_axis, tu_axis, w_q, 0.5)
+        rows = []
+        for alpha in alphas:
+            expected, row = self.one_shot(tq_axis, tu_axis, w_q, 0.5, alpha)
+            assert grid_min(alpha) == expected, (s, tu_axis.size, alpha)
+            rows.append(row)
+        return rows
+
+    @pytest.mark.parametrize("s", [20.0, 447.2])
+    @pytest.mark.parametrize("length", [31, 32, 33, 65, None])
+    def test_matches_one_shot_build(self, s, length):
+        from hude.tradeoff import _EXCLUDE_BAND, _INNER_BAND, _tu_axis
+
+        if length is None:  # the band pass's axis, as _with_band_pass builds it
+            steps = np.geomspace(_INNER_BAND, _EXCLUDE_BAND, 33)
+            tu_axis = np.unique(np.concatenate([0.5 - steps, 0.5 + steps]))
+        else:
+            tu_axis = self.picks(_tu_axis(0.5, 401), length)
+        self.check(tu_axis, s)
+
+    @pytest.mark.parametrize("s", [20.0, 447.2, 10_000.0])
+    def test_argmin_in_first_and_last_row_block(self, s):
+        # 33 rows below t_u = 0.75: at alpha 0 the minimum is 0 at
+        # (0, 0), row 0; at 0.97 the objective still falls at the cut, so
+        # the minimum is in row 32, alone in the second block.
+        from hude.tradeoff import _tu_axis
+
+        full = _tu_axis(0.5, 401)
+        first, last = self.check(self.picks(full[full < 0.75], 33), s, alphas=(0.0, 0.97))
+        assert first < self.ROW_BLOCK and last == self.ROW_BLOCK
+
+
 class TestSearchBudget:
     @given(
         lo=st.floats(-10.0, 10.0),
