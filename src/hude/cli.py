@@ -140,9 +140,14 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="comma-separated curve ids")
     tro.add_argument("--prior-constant", type=float,
                      help="leading constant for the prior-general curve")
-    tro.add_argument("--tu-points", type=int, default=401)
-    tro.add_argument("--tq-points", type=int, default=241)
-    tro.add_argument("--alpha-points", type=int, default=101)
+    grid_cap = ("--tu-points times --tq-points is at most 1,000,000; the solver's grid "
+                "takes 24 bytes a point")
+    tro.add_argument("--tu-points", type=int, default=401,
+                     help=f"t_u points of the numeric-lop coarse grid ({grid_cap})")
+    tro.add_argument("--tq-points", type=int, default=241,
+                     help=f"t_q points of the numeric-lop coarse grid ({grid_cap})")
+    tro.add_argument("--alpha-points", type=int, default=101,
+                     help="alpha grid points of the numeric-lop maximization (at most 10,001)")
     tro.add_argument("--out", required=True)
 
     ver = sub.add_parser("verify", help="run the invariant suite")

@@ -12,6 +12,7 @@ drawn from a named sub-stream so instances are byte-identical across runs.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -150,6 +151,60 @@ def poisson_plus(lam: float, rng: np.random.Generator) -> int:
     return x
 
 
+_COUNT_BUFFER = 256  # uniforms fetched per refill in _truncated_counts
+
+
+def _truncated_counts(lam: float, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` zero-truncated Poisson draws, the same integers as
+    ``[poisson_plus(lam, rng) for _ in range(size)]``.
+
+    Both of :func:`poisson_plus`'s branches consume uniforms in the same
+    order, here from ``rng.random(_COUNT_BUFFER)`` blocks (``random(m)``
+    gives the doubles of m scalar calls).  Up to one block more of the
+    stream is drawn, so ``rng`` must not be used afterwards.
+    """
+    counts = np.empty(size, dtype=np.int64)
+    if size == 0:
+        return counts
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"rate must be finite and positive (got {lam!r})")
+    uniforms = itertools.chain.from_iterable(
+        iter(lambda: rng.random(_COUNT_BUFFER).tolist(), None)
+    )
+    if lam < 0.01:  # poisson_plus's inverse CDF, one uniform a draw
+        first = lam * math.exp(-lam) / -math.expm1(-lam)
+        for i in range(size):
+            u = next(uniforms)
+            x = 1
+            pmf = cumulative = first
+            while u > cumulative:
+                x += 1
+                pmf *= lam / x
+                cumulative += pmf
+            counts[i] = x
+        return counts
+    if lam > _MAX_POISSON_RATE:
+        raise ValueError(
+            f"rate must be positive and at most {_MAX_POISSON_RATE:g} (got {lam!r})"
+        )
+    # poisson's Knuth chunks: one product threshold per chunk of the rate.
+    thresholds = []
+    while lam > _KNUTH_CHUNK:
+        thresholds.append(math.exp(-_KNUTH_CHUNK))
+        lam -= _KNUTH_CHUNK
+    thresholds.append(math.exp(-lam))
+    for i in range(size):
+        value = 0
+        while value == 0:  # reject zero draws
+            for threshold in thresholds:
+                running = next(uniforms)
+                while running > threshold:
+                    value += 1
+                    running *= next(uniforms)
+        counts[i] = value
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
@@ -279,9 +334,7 @@ def reduce_gapss_to_urde(g: GapssInstance, s: float, seed: int) -> UrdeInstance:
     lam = 1.0 / (s * g.w_u)
     rng_counts = substream(seed, "reduction-counts")
     q_elements = g.query.indices
-    copies = np.asarray(
-        [poisson_plus(lam, rng_counts) for _ in range(q_elements.size)], dtype=np.int64
-    )
+    copies = _truncated_counts(lam, q_elements.size, rng_counts)
     draws = np.repeat(q_elements, copies)
     if draws.size:
         draws = draws[substream(seed, "reduction-order").permutation(draws.size)]

@@ -112,7 +112,11 @@ def _gaps(t_q, t_u, w_q, w_u):
     (1 - alpha) * g_u.  Near the excluded band each ``kl_binary`` of nearby
     arguments still cancels: at w_q = t_q = 0.02, w_u = 0.5, alpha 0.7, F is
     off by about 3e-7 at t_u = w_u + 1e-5 and 5e-4 at w_u + 1e-7 (against
-    60-digit arithmetic).  The curve's minima lie far from the band.
+    60-digit arithmetic).  The numeric-lop curve's minima, at its alphas of
+    about 0.85-0.9, lie far from the band.  Other minima need not:
+    minimize_objective(w_q, 0.5, 0.5) settles 2.6e-5 to 7.9e-5 from it, where
+    this error is most negative, and reports a value up to 6e-8 below the
+    exact objective at its own point (w_q = 1e-3; 5e-9 at w_q = 0.05).
     """
     d_u = kl_binary(t_u, w_u)
     # The conditional divergences are nonnegative exactly; flooring them at 0
@@ -135,8 +139,12 @@ def _gaps(t_q, t_u, w_q, w_u):
 _EDGE_MARGIN = 1e-9  # grids stay this far inside the t_q < t_u edge
 _EXCLUDE_BAND = 1e-4  # main-pass exclusion half-width around t_u == w_u
 _INNER_BAND = 1e-6  # the band pass resolves down to this distance
-_MAX_GRID_POINTS = 1_000_000  # tu_points * tq_points; about 0.5 s and 110 MB a curve point
+# tu_points * tq_points.  With the axes' extra points the grid at the cap is
+# 4,240 x 291; a curve point there takes about 0.4 s and peaks at 28 MiB
+# under tracemalloc.
+_MAX_GRID_POINTS = 1_000_000
 _MAX_ALPHA_POINTS = 10_001  # about 2.4 s a curve point
+_ROW_BLOCK = 32  # t_u rows per block of the grid build
 
 
 @dataclass(frozen=True)
@@ -190,18 +198,24 @@ def _tq_axis(w_q: float, points: int) -> np.ndarray:
 def _grid_minimizer(tq_axis: np.ndarray, tu_axis: np.ndarray, w_q: float, w_u: float):
     """alpha -> (value, t_q, t_u) of the objective's minimum on the product grid.
 
-    The alpha-independent terms are computed once; each call writes
-    F = g_u + alpha * (g_q - g_u) into one reused buffer.  Infeasible points
-    get slope 0 and g_u = +inf, so F = +inf there even at alpha = 0.
+    The alpha-independent terms are computed once, _ROW_BLOCK t_u rows at a
+    time, so the grid holds three float64 arrays (slope, g_u and the buffer
+    each call writes F = g_u + alpha * (g_q - g_u) into) and the build's
+    temporaries stay one block in size.  Every term is elementwise, so the
+    values equal a one-shot build's.  Infeasible points get slope 0 and
+    g_u = +inf, so F = +inf there even at alpha = 0.
     """
-    tu_col = tu_axis[:, None]
-    tq_row = tq_axis[None, :]
-    g_q, g_u = _gaps(tq_row, tu_col, w_q, w_u)
-    infeasible = (tq_row != 0.0) & (tq_row > tu_col - _EDGE_MARGIN)
-    slope = np.subtract(g_q, g_u, out=g_q)
-    slope[infeasible] = 0.0
-    g_u[infeasible] = np.inf
-    values = np.empty_like(g_u)
+    slope = np.empty((tu_axis.size, tq_axis.size))
+    g_u = np.empty_like(slope)
+    for start in range(0, tu_axis.size, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        tu_col = tu_axis[rows, None]
+        g_q, g_u[rows] = _gaps(tq_axis, tu_col, w_q, w_u)
+        infeasible = (tq_axis != 0.0) & (tq_axis > tu_col - _EDGE_MARGIN)
+        np.subtract(g_q, g_u[rows], out=slope[rows])
+        slope[rows][infeasible] = 0.0
+        g_u[rows][infeasible] = np.inf
+    values = np.empty_like(slope)
 
     def grid_min(alpha: float) -> tuple[float, float, float]:
         np.multiply(slope, alpha, out=values)

@@ -441,6 +441,17 @@ class TestTradeoff:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_search_flag_help_states_the_caps(self, capsys):
+        from hude.tradeoff import _MAX_ALPHA_POINTS, _MAX_GRID_POINTS
+
+        with pytest.raises(SystemExit):
+            main(["tradeoff", "--help"])
+        text = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+        grid_cap = (f"--tu-points times --tq-points is at most {_MAX_GRID_POINTS:,}; "
+                    "the solver's grid takes 24 bytes a point")
+        assert text.count(grid_cap) == 2  # in --tu-points' and --tq-points' help
+        assert f"maximization (at most {_MAX_ALPHA_POINTS:,})" in text
+
     @pytest.mark.parametrize("spec", ["oops", "20:40:log0", "20:40:lin-1", "20:40:geo5"])
     def test_bad_grid_spec_is_usage_error(self, tmp_path, spec):
         with pytest.raises(SystemExit) as err:

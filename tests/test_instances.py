@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -187,6 +188,45 @@ class TestPoisson:
         assert min(poisson_plus(0.004, rng) for _ in range(1_000_000)) >= 1
         assert min(poisson_plus(0.4, rng) for _ in range(20_000)) >= 1
         assert min(poisson_plus(4.0, rng) for _ in range(5_000)) >= 1
+
+
+class TestTruncatedCounts:
+    """The reduction's buffered counts against poisson_plus, one call a draw."""
+
+    @staticmethod
+    def scalar(lam, size, seed):
+        rng = substream(seed, "reduction-counts")
+        return [poisson_plus(lam, rng) for _ in range(size)]
+
+    # Both branches (inverse CDF below 0.01), the reduction's rate at s=10
+    # (0.2), and rates that chain two and thirteen Knuth chunks.
+    @pytest.mark.parametrize("lam", [0.004, 0.0099, 0.01, 0.2, 2.0, 8.5, 100.0])
+    def test_same_counts_as_poisson_plus(self, lam):
+        from hude.instances import _truncated_counts
+
+        for seed in range(300):
+            size = seed % 40  # a reduced query's element count
+            got = _truncated_counts(lam, size, substream(seed, "reduction-counts"))
+            assert got.dtype == np.int64
+            assert got.tolist() == self.scalar(lam, size, seed), (lam, seed)
+
+    @pytest.mark.parametrize("lam", [0.004, 0.2, 20.0])
+    def test_long_runs_cross_buffer_refills(self, lam):
+        from hude.instances import _COUNT_BUFFER, _truncated_counts
+
+        size = 3 * _COUNT_BUFFER + 1
+        got = _truncated_counts(lam, size, substream(5, "reduction-counts"))
+        assert got.tolist() == self.scalar(lam, size, 5)
+
+    def test_rates_rejected_like_poisson_plus(self):
+        from hude.instances import _truncated_counts
+
+        for lam in (0.0, -1.0, math.nan, math.inf, 2e6):
+            with pytest.raises(ValueError) as expected:
+                poisson_plus(lam, substream(0, "x"))
+            with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+                _truncated_counts(lam, 3, substream(0, "x"))
+        assert _truncated_counts(-1.0, 0, substream(0, "x")).size == 0
 
 
 class TestReduction:

@@ -1,6 +1,7 @@
 """Divergences, the ratio objective, its minimization, and the curve family."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -424,6 +425,19 @@ class TestSearchSizeCaps:
         with pytest.raises(ValueError, match="alpha_points must be at most 10,001"):
             query_exponent_lower_bound(required_w_q(0.5, 20.0), 0.5, 0.5, alpha_points=10_002)
 
+    def test_grid_peak_memory_at_the_cap(self):
+        # The 4,240 x 291 grid is three float64 arrays (29.6 MB) plus one
+        # row block of build temporaries; built in one shot it peaked at
+        # 76.6 MiB under tracemalloc.
+        opts = SearchOptions(tu_points=4149, tq_points=241)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            minimize_objective(required_w_q(0.5, 447.2), 0.5, 0.7, opts)
+            assert tracemalloc.get_traced_memory()[1] - base < 40 * 2**20
+        finally:
+            tracemalloc.stop()
+
 
 class TestGridBuild:
     """`_grid_minimizer` against a one-shot build of the whole grid.
@@ -432,7 +446,6 @@ class TestGridBuild:
     t_u rows, each grid minimum must be the one-shot build's float for float.
     """
 
-    ROW_BLOCK = 32  # rows per block of the grid build
     ALPHAS = (0.0, 0.01, 0.5, 0.97, 1.0)
 
     @staticmethod
@@ -483,14 +496,14 @@ class TestGridBuild:
 
     @pytest.mark.parametrize("s", [20.0, 447.2, 10_000.0])
     def test_argmin_in_first_and_last_row_block(self, s):
-        # 33 rows below t_u = 0.75: at alpha 0 the minimum is 0 at
-        # (0, 0), row 0; at 0.97 the objective still falls at the cut, so
-        # the minimum is in row 32, alone in the second block.
-        from hude.tradeoff import _tu_axis
+        # 33 rows below t_u = 0.75: at alpha 0 the minimum is 0 at (0, 0),
+        # row 0; at 0.97 the objective still falls at the cut, so the
+        # minimum is in the last row, alone in the second block of 32.
+        from hude.tradeoff import _ROW_BLOCK, _tu_axis
 
         full = _tu_axis(0.5, 401)
         first, last = self.check(self.picks(full[full < 0.75], 33), s, alphas=(0.0, 0.97))
-        assert first < self.ROW_BLOCK and last == self.ROW_BLOCK
+        assert first < _ROW_BLOCK and last == _ROW_BLOCK
 
 
 class TestSearchBudget:
