@@ -100,6 +100,9 @@ _KNUTH_CHUNK = 8.0  # product method stays exact; additivity handles large rates
 # Largest rate :func:`poisson` accepts: its cost grows linearly with the rate
 # (about 0.8 s at this cap), so an unbounded rate would never return.
 _MAX_POISSON_RATE = 1e6
+# Below this rate a zero-truncated draw walks the truncated pmf: rejection
+# would discard almost every Poisson draw.
+_INVERSE_CDF_RATE = 0.01
 
 
 def _poisson_knuth(lam: float, rng: np.random.Generator) -> int:
@@ -133,13 +136,11 @@ def poisson_plus(lam: float, rng: np.random.Generator) -> int:
     """Zero-truncated Poisson: rejection for moderate rates, inverse CDF below."""
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"rate must be finite and positive (got {lam!r})")
-    if lam >= 0.01:
+    if lam >= _INVERSE_CDF_RATE:
         while True:
             value = poisson(lam, rng)
             if value > 0:
                 return value
-    # At tiny rates rejection would discard almost every draw; walk the
-    # truncated pmf directly instead.
     u = rng.random()
     x = 1
     pmf = lam * math.exp(-lam) / -math.expm1(-lam)
@@ -171,7 +172,7 @@ def _truncated_counts(lam: float, size: int, rng: np.random.Generator) -> np.nda
     uniforms = itertools.chain.from_iterable(
         iter(lambda: rng.random(_COUNT_BUFFER).tolist(), None)
     )
-    if lam < 0.01:  # poisson_plus's inverse CDF, one uniform a draw
+    if lam < _INVERSE_CDF_RATE:  # one uniform a draw
         first = lam * math.exp(-lam) / -math.expm1(-lam)
         for i in range(size):
             u = next(uniforms)
