@@ -241,7 +241,7 @@ def adaptive_L_search(
         trace.append((L, accuracy))
         if accuracy == 1.0:
             return L, trace, (accuracy, mean_ops, mean_ns)
-        L = int(np.ceil(config.L_factor * L))
+        L = math.ceil(min(config.L_factor * L, config.L_cap + 1))  # finite past L_cap
     best = max((a for _, a in trace), default=0.0)
     raise AdaptiveSearchError(
         f"no probe count up to {config.L_cap} reached full accuracy (best {best:.2f})",

@@ -31,6 +31,7 @@ from .distributions import (
     random_fixed_size_supports,
 )
 from .rng import substream
+from .tradeoff import required_w_q
 
 
 class GenerationError(RuntimeError):
@@ -132,37 +133,16 @@ def poisson(lam: float, rng: np.random.Generator) -> int:
     return total + _poisson_knuth(lam, rng)
 
 
-def poisson_plus(lam: float, rng: np.random.Generator) -> int:
-    """Zero-truncated Poisson: rejection for moderate rates, inverse CDF below."""
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"rate must be finite and positive (got {lam!r})")
-    if lam >= _INVERSE_CDF_RATE:
-        while True:
-            value = poisson(lam, rng)
-            if value > 0:
-                return value
-    u = rng.random()
-    x = 1
-    pmf = lam * math.exp(-lam) / -math.expm1(-lam)
-    cumulative = pmf
-    while u > cumulative:
-        x += 1
-        pmf *= lam / x
-        cumulative += pmf
-    return x
-
-
 _COUNT_BUFFER = 256  # uniforms fetched per refill in _truncated_counts
 
 
 def _truncated_counts(lam: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    """``size`` zero-truncated Poisson draws, the same integers as
-    ``[poisson_plus(lam, rng) for _ in range(size)]``.
-
-    Both of :func:`poisson_plus`'s branches consume uniforms in the same
-    order, here from ``rng.random(_COUNT_BUFFER)`` blocks (``random(m)``
-    gives the doubles of m scalar calls).  Up to one block more of the
-    stream is drawn, so ``rng`` must not be used afterwards.
+    """``size`` zero-truncated Poisson(lam) draws: below _INVERSE_CDF_RATE by
+    the truncated pmf's inverse CDF, from it up by :func:`poisson`'s Knuth
+    chunks, redrawn while zero.  The uniforms come from
+    ``rng.random(_COUNT_BUFFER)`` blocks (``random(m)`` gives the doubles of
+    m scalar calls), so the counts are those of one draw at a time.  Up to one
+    block more of the stream is drawn, so ``rng`` must not be used afterwards.
     """
     counts = np.empty(size, dtype=np.int64)
     if size == 0:
@@ -212,6 +192,7 @@ def _truncated_counts(lam: float, size: int, rng: np.random.Generator) -> np.nda
 
 
 _HUDE_RETRIES = 10  # dataset resamples allowed after a failed separation check
+_MAX_QUERY_SAMPLES = 10_000_000  # gen_hude's floor(n/s): 80 MB of int64 draws
 
 
 def gen_hude(n: int, k: int, epsilon: float, s: float, seed: int) -> HudeInstance:
@@ -227,8 +208,11 @@ def gen_hude(n: int, k: int, epsilon: float, s: float, seed: int) -> HudeInstanc
         raise ValueError("need at least one distribution")
     if not 0 < epsilon <= 2:
         raise ValueError("separation must be in (0, 2]")
-    if not (math.isfinite(s) and s > 0 and n / s >= 1):
-        raise ValueError(f"s must be finite and positive with n/s >= 1 query samples (got {s!r})")
+    if not (math.isfinite(s) and s > 0 and 1 <= n / s <= _MAX_QUERY_SAMPLES):
+        raise ValueError(
+            f"s must be finite and positive with n/s >= 1 query samples (got {s!r}), "
+            f"and at most {_MAX_QUERY_SAMPLES:,} of them"
+        )
 
     m_query = int(n // s)
     half = n // 2
@@ -308,11 +292,6 @@ def gen_gapss(n: int, k: int, w_u: float, w_q: float, seed: int) -> GapssInstanc
 # ---------------------------------------------------------------------------
 # Reduction: subset-search query -> random-support query
 # ---------------------------------------------------------------------------
-
-
-def required_w_q(w_u: float, s: float) -> float:
-    """Query density that makes the reduction exact: w_u * (1 - e^{-1/(s*w_u)})."""
-    return w_u * -math.expm1(-1.0 / (s * w_u))
 
 
 _REDUCTION_TOLERANCE = 1e-9  # relative slack allowed between w_q and required_w_q

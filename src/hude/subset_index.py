@@ -192,7 +192,8 @@ def query(
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive (got {epsilon!r})")
     data = index.dataset
-    cap = max(1, math.ceil(index.params.c_query * math.log(data.n) / epsilon))
+    # Only min(cap, pool.size) is used, so clamping at n first keeps ceil finite.
+    cap = max(1, math.ceil(min(index.params.c_query * math.log(data.n) / epsilon, data.n)))
     pool = q.distinct.indices
     member = q.distinct.bits
     probes = index.probes
@@ -259,10 +260,6 @@ def theoretical_params(
         raise ValueError("need at least two distributions")
     if not (math.isfinite(c) and c > 0):
         raise ValueError(f"c must be finite and positive (got {c!r})")
-    base = 2.0 / -math.expm1(-2.0 / s)
-    ell_exact = rho_u * math.log(k) / math.log(base)
-    clamped = ell_exact < 1.0
-    ell = max(1, math.floor(ell_exact))
     # base**ell_exact == k**rho_u by construction; the direct form is exact
     # when k**rho_u is (ceil would otherwise pick up float noise).
     try:
@@ -274,6 +271,10 @@ def theoretical_params(
             f"probe count c * k**rho_u = {float(num_probes):.3g} exceeds {MAX_PROBES:,} "
             f"(c={c!r}, rho_u={rho_u!r}, k={k})"
         )
+    base = 2.0 / -math.expm1(-2.0 / s)
+    ell_exact = rho_u * math.log(k) / math.log(base)
+    clamped = ell_exact < 1.0
+    ell = max(1, math.floor(ell_exact))
     return TheoreticalChoice(
         IndexParams(num_probes, ell, c_query=c_query, variant=variant),
         predicted,

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import required_w_q
-
 LOG2 = math.log(2.0)
 
 
@@ -29,19 +27,48 @@ def _xlog_ratio(x, ref):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = x * np.log(x / ref)
     out = np.where(x == 0.0, 0.0, out)
-    out = np.where((x > 0.0) & (ref == 0.0), np.inf, out)
+    if (ref == 0.0).any():
+        out = np.where((x > 0.0) & (ref == 0.0), np.inf, out)
     return out
 
 
+# kl_binary takes the series where |p - q| < _NEAR * min(q, 1 - q); past that edge
+# the direct form is within about 2e-12 / min(q, 1 - q) relative.
+_NEAR = 0.02
+_SERIES_TERMS = 4  # truncation error below 1e-18 relative at |v| < 0.0102
+
+
+def _bd0_series(x, m, d):
+    """bd0(x, m) = x log(x/m) + m - x from d = x - m, when |d| < 0.0102 (x + m),
+    as d v + 2x (v^3/3 + v^5/5 + ...) with v = d/(x+m) (Loader 2000, "Fast and
+    Accurate Computation of Binomial Probabilities"): one sign, no cancellation.
+    Floats and arrays get the same operations in the same order."""
+    v = d / (x + m)
+    v2 = v * v
+    tail = 1.0 / (2 * _SERIES_TERMS + 1)
+    for j in range(_SERIES_TERMS - 1, 0, -1):
+        tail = tail * v2 + 1.0 / (2 * j + 1)
+    return d * v + 2.0 * x * v * v2 * tail
+
+
 def kl_binary(p, q):
-    """KL divergence between Bernoulli(p) and Bernoulli(q), natural log."""
+    """KL divergence between Bernoulli(p) and Bernoulli(q), natural log.
+
+    bd0(p, q) + bd0(1-p, 1-q) by the series from p - q where p and q are
+    close (see _NEAR), p log(p/q) + (1-p) log((1-p)/(1-q)) elsewhere.
+    """
     p_arr = np.asarray(p, dtype=np.float64)
     q_arr = np.asarray(q, dtype=np.float64)
     if np.any((p_arr < 0) | (p_arr > 1)):
         raise ValueError("first argument must lie in [0, 1]")
     if np.any((q_arr < 0) | (q_arr > 1)):
         raise ValueError("second argument must lie in [0, 1]")
-    out = _xlog_ratio(p_arr, q_arr) + _xlog_ratio(1.0 - p_arr, 1.0 - q_arr)
+    out = np.asarray(_xlog_ratio(p_arr, q_arr) + _xlog_ratio(1.0 - p_arr, 1.0 - q_arr))
+    diff = p_arr - q_arr
+    near = np.abs(diff) < _NEAR * np.minimum(q_arr, 1.0 - q_arr)
+    if near.any():
+        p_n, q_n, d_n = (np.broadcast_to(a, near.shape)[near] for a in (p_arr, q_arr, diff))
+        out[near] = _bd0_series(p_n, q_n, d_n) + _bd0_series(1.0 - p_n, 1.0 - q_n, -d_n)
     if out.ndim == 0:
         return float(out)
     return out
@@ -109,14 +136,7 @@ def _gaps(t_q, t_u, w_q, w_u):
         D - d(t_q||w_q) = (1-t_q) * d((t_u-t_q)/(1-t_q) || (w_u-w_q)/(1-w_q)),
     both manifestly nonnegative, so the ratio never takes the wrong sign;
     g_q and g_u are these gaps over d(t_u||w_u), and F = alpha * g_q +
-    (1 - alpha) * g_u.  Near the excluded band each ``kl_binary`` of nearby
-    arguments still cancels: at w_q = t_q = 0.02, w_u = 0.5, alpha 0.7, F is
-    off by about 3e-7 at t_u = w_u + 1e-5 and 5e-4 at w_u + 1e-7 (against
-    60-digit arithmetic).  The numeric-lop curve's minima, at its alphas of
-    about 0.85-0.9, lie far from the band.  Other minima need not:
-    minimize_objective(w_q, 0.5, 0.5) settles 2.6e-5 to 7.9e-5 from it, where
-    this error is most negative, and reports a value up to 6e-8 below the
-    exact objective at its own point (w_q = 1e-3; 5e-9 at w_q = 0.05).
+    (1 - alpha) * g_u.
     """
     d_u = kl_binary(t_u, w_u)
     # The conditional divergences are nonnegative exactly; flooring them at 0
@@ -137,8 +157,7 @@ def _gaps(t_q, t_u, w_q, w_u):
 
 
 _EDGE_MARGIN = 1e-9  # grids stay this far inside the t_q < t_u edge
-_EXCLUDE_BAND = 1e-4  # main-pass exclusion half-width around t_u == w_u
-_INNER_BAND = 1e-6  # the band pass resolves down to this distance
+_EXCLUDE_BAND = 1e-4  # the search's exclusion half-width around t_u == w_u
 # tu_points * tq_points.  With the axes' extra points the grid at the cap is
 # 4,240 x 291; a curve point there takes about 0.4 s and peaks at 28 MiB
 # under tracemalloc.
@@ -166,6 +185,10 @@ class SearchOptions:
 
 @dataclass(frozen=True)
 class InfimumResult:
+    """The objective's infimum and its point.  ``t_u == w_u`` marks a limit along
+    the excluded line (_line_limit) that no feasible point attains there;
+    ``objective`` raises at it by design."""
+
     value: float
     t_q: float
     t_u: float
@@ -226,27 +249,29 @@ def _grid_minimizer(tq_axis: np.ndarray, tu_axis: np.ndarray, w_q: float, w_u: f
     return grid_min
 
 
+def _kl_scalar(x: float, ref: float) -> float:
+    """Scalar twin of :func:`kl_binary` for 0 < ref < 1 (no validation)."""
+    d = x - ref
+    if abs(d) < _NEAR * min(ref, 1.0 - ref):
+        return _bd0_series(x, ref, d) + _bd0_series(1.0 - x, 1.0 - ref, -d)
+    head = x * math.log(x / ref) if x else 0.0
+    return head + ((1.0 - x) * math.log((1.0 - x) / (1.0 - ref)) if x != 1.0 else 0.0)
+
+
 def _objective_scalar(t_q: float, t_u: float, w_q: float, w_u: float, alpha: float) -> float:
     """Pure-scalar objective for the polish loop (feasible interior assumed).
 
     The scalar twin of :func:`_gaps`: the same chain-rule split of the
-    numerator, with the same loss of precision next to the excluded band.
+    numerator, with :func:`_kl_scalar` for each divergence.
     """
-
-    def xlr(x: float, ref: float) -> float:
-        return 0.0 if x == 0.0 else x * math.log(x / ref)
-
-    def kl(x: float, ref: float) -> float:
-        return xlr(x, ref) + xlr(1.0 - x, 1.0 - ref)
-
-    d_u = kl(t_u, w_u)
+    d_u = _kl_scalar(t_u, w_u)
     gap_u = 0.0
     if t_u > 0.0:
-        gap_u = t_u * max(kl(min(max(t_q / t_u, 0.0), 1.0), w_q / w_u), 0.0)
+        gap_u = t_u * max(_kl_scalar(min(max(t_q / t_u, 0.0), 1.0), w_q / w_u), 0.0)
     gap_q = 0.0
     if t_q < 1.0:
         cond = min(max((t_u - t_q) / (1.0 - t_q), 0.0), 1.0)
-        gap_q = (1.0 - t_q) * max(kl(cond, (w_u - w_q) / (1.0 - w_q)), 0.0)
+        gap_q = (1.0 - t_q) * max(_kl_scalar(cond, (w_u - w_q) / (1.0 - w_q)), 0.0)
     return (alpha * gap_q + (1.0 - alpha) * gap_u) / d_u
 
 
@@ -352,16 +377,7 @@ def _inner_tq(t_u: float, w_q: float, w_u: float, alpha: float) -> float:
     return math.exp(x)
 
 
-def _polish(
-    w_q: float,
-    w_u: float,
-    alpha: float,
-    value: float,
-    t_q: float,
-    t_u: float,
-    band: float,
-    tu_bounds: tuple[float, float],
-):
+def _polish(w_q: float, w_u: float, alpha: float, value: float, t_q: float, t_u: float):
     """Polish the grid minimizer: exact inner t_q solve, Brent outer t_u search.
 
     Solves the 1-D problem min_u F(_inner_tq(u), u) to 1e-9 relative in t_u
@@ -371,10 +387,7 @@ def _polish(
     edges (within a millionth of its width) that is not also a bound of that
     side.
     """
-    lo_u, hi_u = tu_bounds
-    side_lo, side_hi = (lo_u, w_u - band) if t_u < w_u else (w_u + band, hi_u)
-    side_lo = max(side_lo, 0.0)
-    side_hi = min(side_hi, 1.0)
+    side_lo, side_hi = (0.0, w_u - _EXCLUDE_BAND) if t_u < w_u else (w_u + _EXCLUDE_BAND, 1.0)
 
     def outer(u: float) -> float:
         return _objective_scalar(_inner_tq(u, w_q, w_u, alpha), u, w_q, w_u, alpha)
@@ -399,20 +412,26 @@ def _polish(
     return value, t_q, t_u
 
 
-def _with_band_pass(main, tq_axis, w_q: float, w_u: float, alpha: float) -> InfimumResult:
-    """The main pass's (value, t_q, t_u), or the band pass's if that is lower.
+def _line_limit(w_q: float, w_u: float, alpha: float) -> float:
+    """The objective's infimum along the excluded line t_u == w_u.
 
-    The band pass does the grid-plus-polish over the annulus
-    _INNER_BAND <= |t_u - w_u| <= _EXCLUDE_BAND, to confirm the infimum is
-    not hiding next to the line the main pass removed.
+    Only at (w_q, w_u) does the numerator vanish with the denominator.  Along
+    t_q - w_q = t (t_u - w_u), F tends to w_u(1-w_u)(A t^2 + B t + C) with
+    A = 1/w_q + 1/(w_u-w_q) - alpha/(w_q(1-w_q)) > 0, B = -2/(w_u-w_q) and
+    C = 1/(w_u-w_q) + 1/(1-w_u) - (1-alpha)/(w_u(1-w_u)); its minimum,
+    w_u(1-w_u)(C - B^2/4A) at t = 1/((w_u-w_q)A), simplifies to this form.
     """
-    steps = np.geomspace(_INNER_BAND, _EXCLUDE_BAND, 33)
-    band_axis = np.unique(np.concatenate([w_u - steps, w_u + steps]))
-    band_axis = band_axis[(band_axis > 0.0) & (band_axis < 1.0)]
-    band_min = _grid_minimizer(tq_axis, band_axis, w_q, w_u)
-    sides = (w_u - _EXCLUDE_BAND, w_u + _EXCLUDE_BAND)
-    band = _polish(w_q, w_u, alpha, *band_min(alpha), _INNER_BAND, sides)
-    return InfimumResult(*(band if band[0] < main[0] else main))
+    gap = w_u - w_q
+    return alpha * (1.0 - alpha) * gap / ((1.0 - alpha) * gap + w_q * (1.0 - w_u))
+
+
+def _infimum(grid_min, w_q: float, w_u: float, alpha: float) -> InfimumResult:
+    """The polished grid minimum, or the line limit where that is lower."""
+    value, t_q, t_u = _polish(w_q, w_u, alpha, *grid_min(alpha))
+    limit = _line_limit(w_q, w_u, alpha)
+    if limit < value:
+        return InfimumResult(limit, w_q, w_u)
+    return InfimumResult(value, t_q, t_u)
 
 
 def minimize_objective(
@@ -424,8 +443,8 @@ def minimize_objective(
     """Global minimum of the objective over {0 <= t_q <= t_u <= 1, t_u != w_u}.
 
     Coarse product grid (log-spaced in t_q, dense near t_q ~ w_q and near the
-    excluded band in t_u), then the exact 1-D polish from the grid argmin,
-    then the band pass (see _with_band_pass).
+    excluded band in t_u), then the exact 1-D polish from the grid argmin, or
+    the limit along the excluded line (_line_limit) where that is lower.
     """
     if not 0.0 < w_q < w_u < 1.0:
         raise ValueError("parameters must satisfy 0 < w_q < w_u < 1")
@@ -435,8 +454,7 @@ def minimize_objective(
 
     tq_axis = _tq_axis(w_q, opts.tq_points)
     grid_min = _grid_minimizer(tq_axis, _tu_axis(w_u, opts.tu_points), w_q, w_u)
-    main = _polish(w_q, w_u, alpha, *grid_min(alpha), _EXCLUDE_BAND, (0.0, 1.0))
-    return _with_band_pass(main, tq_axis, w_q, w_u, alpha)
+    return _infimum(grid_min, w_q, w_u, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +489,8 @@ def query_exponent_lower_bound(
     motivated weight) when it lies in (0, 1).  The bound is evaluated on the
     coarse (t_q, t_u) grid at every grid alpha; the infimum is solved exactly
     only at the coarse maximizer and its two neighbours on each side, and
-    Brent's method refines the bracket around the best of those to 1e-6.  The
-    band pass runs once, at the winning alpha.  The result is clamped to
+    Brent's method refines the bracket around the best of those to 1e-6.
+    Each exact solve is minimize_objective's.  The result is clamped to
     [0, 1].
     """
     _check_rho_u(rho_u)
@@ -495,13 +513,13 @@ def query_exponent_lower_bound(
     coarse = [(grid_min(alpha)[0] - (1.0 - alpha) * rho_u) / alpha for alpha in order]
     pos = int(np.argmax(coarse))
 
-    solves: dict[float, tuple[float, float, float]] = {}  # alpha -> main-pass minimum
+    solves: dict[float, InfimumResult] = {}
 
     def bound(alpha: float) -> float:
-        return (solves[alpha][0] - (1.0 - alpha) * rho_u) / alpha
+        return (solves[alpha].value - (1.0 - alpha) * rho_u) / alpha
 
     def negated_bound(alpha: float) -> float:
-        solves[alpha] = _polish(w_q, w_u, alpha, *grid_min(alpha), _EXCLUDE_BAND, (0.0, 1.0))
+        solves[alpha] = _infimum(grid_min, w_q, w_u, alpha)
         return -bound(alpha)
 
     for alpha in order[max(pos - 2, 0) : pos + 3]:
@@ -511,21 +529,21 @@ def query_exponent_lower_bound(
         negated_bound, order[max(pos - 1, 0)], order[min(pos + 1, len(order) - 1)], xtol=1e-6
     )
     best_alpha = max(solves, key=bound)
-    del grid_min  # free the main grid before the band pass
-
-    # The band pass at the winning alpha only: the reported value reflects it
-    # (a smaller infimum can only weaken, never fake, the bound).
-    final_inf = _with_band_pass(solves[best_alpha], tq_axis, w_q, w_u, best_alpha)
-    raw = (final_inf.value - (1.0 - best_alpha) * rho_u) / best_alpha
+    raw = bound(best_alpha)
     boundary = best_alpha == order[0]
     clamped = not 0.0 <= raw <= 1.0
     rho_q = min(1.0, max(0.0, raw))
-    return LowerBoundResult(rho_q, float(best_alpha), boundary, clamped, final_inf)
+    return LowerBoundResult(rho_q, float(best_alpha), boundary, clamped, solves[best_alpha])
 
 
 # ---------------------------------------------------------------------------
 # Closed-form curves
 # ---------------------------------------------------------------------------
+
+
+def required_w_q(w_u: float, s: float) -> float:
+    """Query density that makes the reduction exact: w_u * (1 - e^{-1/(s*w_u)})."""
+    return w_u * -math.expm1(-1.0 / (s * w_u))
 
 
 def gapss_explicit_bound(w_q: float, rho_u: float) -> float:

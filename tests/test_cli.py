@@ -562,10 +562,11 @@ def _main_within(argv, seconds=30):
 
 
 class TestFloatFlagFuzz:
-    """Every float flag with a non-finite, zero or negative value: a clean exit
-    code, no escaping exception, and only finite numbers in what is written."""
+    """Every float flag with a non-finite, zero, negative or extreme finite
+    value: a clean exit code, no escaping exception, and only finite numbers
+    in what is written."""
 
-    VALUES = ["nan", "inf", "-inf", "0", "-1"]
+    VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-320", "1e308"]
     TRADEOFF = ["tradeoff", "--rho-u", "0.5", "--s-grid", "20:40:lin2", "--tu-points", "41",
                 "--tq-points", "31", "--alpha-points", "5", "--prior-constant", "1",
                 "--curves", "numeric-lop,analytic-lower,explicit-gapss,upper-half-uniform,"
@@ -619,6 +620,19 @@ class TestFloatFlagFuzz:
         else:
             argv = [*(self.BENCH if command == "bench" else self.TRADEOFF), "--out", str(out),
                     flag, value]
+        self._check_clean_run(argv, out, capsys, json_stdout=command == "query")
+
+    @pytest.mark.parametrize("value", [1e-320, 1e308])
+    @pytest.mark.parametrize("key", ["epsilon", "c_query", "L_factor", "scale"])
+    def test_config_key_clean_exit(self, tmp_path, capsys, key, value):
+        # uj-certify, so epsilon and c_query reach the certificate budget.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"variant": "uj-certify", key: value}))
+        out = tmp_path / "out"
+        self._check_clean_run([*self.BENCH, "--config", str(config), "--out", str(out)], out,
+                              capsys)
+
+    def _check_clean_run(self, argv, out, capsys, json_stdout=False):
         code = _main_within(argv)
         captured = capsys.readouterr()
         assert code in (0, 1, 2)
@@ -626,7 +640,7 @@ class TestFloatFlagFuzz:
         if code != 0:
             assert not out.exists()
             return
-        if command == "query":
+        if json_stdout:
             self._strict_json(captured.out)
             return
         for path in sorted(out.iterdir()) if out.is_dir() else [out]:

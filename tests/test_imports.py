@@ -26,8 +26,7 @@ def _loaded_after(statement, src_path):
     "statement, modules",
     [
         ("import hude", []),
-        ("import hude.tradeoff",
-         ["hude.distributions", "hude.instances", "hude.rng", "hude.tradeoff"]),
+        ("import hude.tradeoff", ["hude.tradeoff"]),
     ],
 )
 def test_modules_loaded(statement, modules, src_path):

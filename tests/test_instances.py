@@ -19,13 +19,38 @@ from hude.instances import (
     gen_urde,
     load_instance,
     poisson,
-    poisson_plus,
     reduce_gapss_to_urde,
     required_w_q,
     save_instance,
 )
 from hude.distributions import SupportSet
 from hude.rng import substream
+
+
+def poisson_plus(lam, rng):
+    """Zero-truncated Poisson, one draw a call: the reference that
+    instances._truncated_counts must match integer for integer.
+
+    Rejection of poisson draws for moderate rates, inverse CDF below.
+    """
+    from hude.instances import _INVERSE_CDF_RATE
+
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"rate must be finite and positive (got {lam!r})")
+    if lam >= _INVERSE_CDF_RATE:
+        while True:
+            value = poisson(lam, rng)
+            if value > 0:
+                return value
+    u = rng.random()
+    x = 1
+    pmf = lam * math.exp(-lam) / -math.expm1(-lam)
+    cumulative = pmf
+    while u > cumulative:
+        x += 1
+        pmf *= lam / x
+        cumulative += pmf
+    return x
 
 
 class TestGenHude:
