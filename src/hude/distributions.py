@@ -1,4 +1,4 @@
-"""Supports, uniform-on-support distributions, and query sample sets.
+"""Supports, each also the uniform distribution on it, and query sample sets.
 
 :class:`OpCounter` meters membership operations.  The query paths charge their
 tests to it in bulk; :func:`contains`, which reads one bit of a support and
@@ -34,7 +34,11 @@ class OpCounter:
 
 
 class SupportSet:
-    """Fixed-width bit vector over the domain [0, n)."""
+    """Fixed-width bit vector over the domain [0, n), and the uniform distribution on it.
+
+    For strict half-uniform instances the support has exactly n/2 elements;
+    random-support instances keep whatever cardinality the draw produced.
+    """
 
     __slots__ = ("bits", "n", "_cardinality", "_indices")
 
@@ -76,10 +80,14 @@ class SupportSet:
             raise ValueError(f"element {element} outside domain [0, {self.n})")
         return bool(self.bits[element])
 
-    def intersection_size(self, other: "SupportSet") -> int:
-        if self.n != other.n:
-            raise ValueError("domain sizes differ")
-        return int(np.count_nonzero(self.bits & other.bits))
+    def sample(self, m: int, rng: np.random.Generator) -> "QueryMultiset":
+        """Draw m i.i.d. elements, uniform on the support, in recorded order."""
+        if m < 0:
+            raise ValueError("sample count must be nonnegative")
+        idx = self.indices
+        if idx.size == 0:
+            raise ValueError("cannot sample from an empty support")
+        return QueryMultiset(self.n, idx[rng.integers(0, idx.size, size=int(m))])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SupportSet):
@@ -96,33 +104,6 @@ def contains(support: SupportSet, element: int, counter: OpCounter) -> bool:
         raise ValueError(f"element {element} outside domain [0, {support.n})")
     counter.add(1)
     return bool(support.bits[element])
-
-
-class HalfUniformDistribution:
-    """Uniform distribution over a recorded support set.
-
-    For strict half-uniform instances the support has exactly n/2 elements;
-    random-support instances keep whatever cardinality the draw produced.
-    """
-
-    __slots__ = ("support", "n")
-
-    def __init__(self, support: SupportSet):
-        self.support = support
-        self.n = support.n
-
-    def sample(self, m: int, rng: np.random.Generator) -> "QueryMultiset":
-        """Draw m i.i.d. elements, uniform on the support, in recorded order."""
-        if m < 0:
-            raise ValueError("sample count must be nonnegative")
-        idx = self.support.indices
-        if idx.size == 0:
-            raise ValueError("cannot sample from an empty support")
-        draws = idx[rng.integers(0, idx.size, size=int(m))]
-        return QueryMultiset(self.n, draws)
-
-    def __repr__(self) -> str:
-        return f"HalfUniformDistribution(n={self.n}, support={self.support.cardinality})"
 
 
 class QueryMultiset:
@@ -165,7 +146,7 @@ class QueryMultiset:
         return f"QueryMultiset(total={self.order.size}, distinct={self.distinct.cardinality})"
 
 
-def l1_distance(p: HalfUniformDistribution, q: HalfUniformDistribution) -> float:
+def l1_distance(p: SupportSet, q: SupportSet) -> float:
     """L1 distance between two uniform-on-support distributions.
 
     Uses the general unequal-size formula; for equal support sizes m it
@@ -173,17 +154,17 @@ def l1_distance(p: HalfUniformDistribution, q: HalfUniformDistribution) -> float
     """
     if p.n != q.n:
         raise ValueError(f"domain sizes differ: {p.n} != {q.n}")
-    a = p.support.cardinality
-    b = q.support.cardinality
+    a, b = p.cardinality, q.cardinality
     if a == 0 or b == 0:
         raise ValueError("distances need nonempty supports")
-    c = p.support.intersection_size(q.support)
+    c = int(np.count_nonzero(p.bits & q.bits))
     return abs(1.0 / a - 1.0 / b) * c + (a - c) / a + (b - c) / b
 
 
-# Rows per block when drawing or packing supports: a multiple of 8, so a block
-# is whole bytes of ``Dataset.columns``.  It sets the size of a generator's
-# buffers, not the draws: row i takes the same doubles whatever the block size.
+# Supports per block when drawing, packing, writing or parsing them: a multiple
+# of 8, so a block is whole bytes of ``Dataset.columns``.  It sizes buffers (about
+# 1 MB of text at n=500), not output: row i takes the same doubles, and a file
+# the same bytes, whatever the block size.
 _ROW_BLOCK = 1024
 
 # Weights of the 8 rows that share a byte, in ``np.packbits`` bit order.
@@ -273,11 +254,9 @@ class Dataset:
             overlap[start:stop] = bits.sum(axis=0)
         return overlap
 
-    def support(self, j: int) -> SupportSet:
+    def distribution(self, j: int) -> SupportSet:
+        """Support j, which is also the uniform distribution on it."""
         return SupportSet(self.row(j))
-
-    def distribution(self, j: int) -> HalfUniformDistribution:
-        return HalfUniformDistribution(self.support(j))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
@@ -361,13 +340,9 @@ def random_bernoulli_supports(k: int, n: int, w: float, rng: np.random.Generator
 # ---------------------------------------------------------------------------
 # Dataset serialization: '# ...' metadata lines, then 'n k', then one support
 # per line as sorted element indices.  Round trips are byte-exact.  Both
-# directions work _LINE_BLOCK support lines at a time with numpy: canonical
+# directions work _ROW_BLOCK support lines at a time with numpy: canonical
 # text makes no Python string per line, and no (k, n) matrix is made.
 # ---------------------------------------------------------------------------
-
-# Support lines per codec block: a multiple of 8, so a block is whole bytes of
-# ``Dataset.columns``.  At k=10,000, n=500 a block is about 1 MB of text.
-_LINE_BLOCK = 1024
 
 
 def _metadata_line(metadata: dict) -> str:
@@ -391,8 +366,8 @@ def _encoded_blocks(dataset: Dataset, metadata: dict | None):
     digits = np.char.add(b" ", np.arange(n).astype(f"S{width - 1}"))
     table[:n] = digits.view(np.uint8).reshape(n, width)
     table[n, 0] = ord("\n")
-    for start in range(0, dataset.k, _LINE_BLOCK):
-        count = min(_LINE_BLOCK, dataset.k - start)
+    for start in range(0, dataset.k, _ROW_BLOCK):
+        count = min(_ROW_BLOCK, dataset.k - start)
         bits = np.empty((count, n + 1), dtype=bool)
         packed = dataset.columns[:, start // 8 : (start + count + 7) // 8]
         bits[:, :n] = np.unpackbits(packed, axis=1, count=count).T.view(bool)
@@ -526,8 +501,8 @@ def loads_dataset(text: str) -> tuple[Dataset, dict]:
     if found != k:
         raise ValueError(f"expected {k} support lines, found {found}")
     columns = np.empty((n, -(-k // 8)), dtype=np.uint8)
-    for start in range(0, k, _LINE_BLOCK):
-        count = min(_LINE_BLOCK, k - start)
+    for start in range(0, k, _ROW_BLOCK):
+        count = min(_ROW_BLOCK, k - start)
         end = pos
         for _ in range(count):
             end = text.find("\n", end) + 1 or len(text)

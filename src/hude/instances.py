@@ -24,6 +24,7 @@ import numpy as np
 # distributions.save_dataset and load_dataset are looked up at call time, for wrappers.
 from . import __version__, distributions
 from .distributions import (
+    MAX_DATASET_CELLS,
     Dataset,
     QueryMultiset,
     SupportSet,
@@ -192,6 +193,9 @@ def _truncated_counts(lam: float, size: int, rng: np.random.Generator) -> np.nda
 
 
 _HUDE_RETRIES = 10  # dataset resamples allowed after a failed separation check
+# Redraws of an empty urde truth row: at most this many, and at most
+# MAX_DATASET_CELLS draws in all (1,000 rows of n=10 take 0.05 s, of n=1e6 22 s).
+_URDE_RESAMPLES = 1_000
 _MAX_QUERY_SAMPLES = 10_000_000  # gen_hude's floor(n/s): 80 MB of int64 draws
 
 
@@ -238,7 +242,11 @@ def gen_hude(n: int, k: int, epsilon: float, s: float, seed: int) -> HudeInstanc
 
 
 def gen_urde(n: int, k: int, w_u: float, s: float, seed: int) -> UrdeInstance:
-    """Random-support instance with a Poisson(|supp(truth)|/(s*w_u)) query."""
+    """Random-support instance with a Poisson(|supp(truth)|/(s*w_u)) query.
+
+    An empty truth support is redrawn, up to ``_URDE_RESAMPLES`` times and
+    ``MAX_DATASET_CELLS`` draws.
+    """
     if n <= 0 or k <= 0:
         raise ValueError("domain size and dataset size must be positive")
     if not 0 < w_u <= 1:
@@ -247,16 +255,22 @@ def gen_urde(n: int, k: int, w_u: float, s: float, seed: int) -> UrdeInstance:
         raise ValueError(f"s must be finite and positive (got {s!r})")
     if n > s * w_u * _MAX_POISSON_RATE:
         raise ValueError(
-            f"s = {s!r} is too small: the query rate n/(s*w_u) = {n / s / w_u:.3g} "
+            f"s = {s!r} is too small: the query rate n/(s*w_u) = {n / s / w_u:.7g} "
             f"exceeds {_MAX_POISSON_RATE:g}"
         )
 
     dataset = random_bernoulli_supports(k, n, w_u, substream(seed, "urde-dataset"))
     truth = int(substream(seed, "urde-truth").integers(0, k))
-    resamples = 0
+    resamples, limit = 0, min(_URDE_RESAMPLES, MAX_DATASET_CELLS // n)
     support = dataset.row(truth)
     while not support.any():
         # Probability (1 - w_u)^n event; perturb only the truth row.
+        if resamples == limit:
+            raise GenerationError(
+                f"truth support still empty after {limit:,} redraws: a support "
+                f"over n={n} elements is empty with probability (1 - w_u)^n = "
+                f"{math.exp(n * math.log1p(-w_u)):.6g} (w_u={w_u!r})"
+            )
         redraw = random_bernoulli_supports(1, n, w_u, substream(seed, "urde-resample", resamples))
         support = redraw.row(0)
         resamples += 1

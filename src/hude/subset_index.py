@@ -268,7 +268,7 @@ def theoretical_params(
         num_probes = math.inf
     if num_probes > MAX_PROBES:
         raise ValueError(
-            f"probe count c * k**rho_u = {float(num_probes):.3g} exceeds {MAX_PROBES:,} "
+            f"probe count c * k**rho_u = {float(num_probes):.10g} exceeds {MAX_PROBES:,} "
             f"(c={c!r}, rho_u={rho_u!r}, k={k})"
         )
     base = 2.0 / -math.expm1(-2.0 / s)

@@ -32,8 +32,11 @@ def _xlog_ratio(x, ref):
     return out
 
 
-# kl_binary takes the series where |p - q| < _NEAR * min(q, 1 - q); past that edge
-# the direct form is within about 2e-12 / min(q, 1 - q) relative.
+# kl_binary takes the series where |p - q| < _NEAR * min(q, 1 - q).  Past that,
+# while |p - q| < min(q, 1 - q), so that p/q and (1-p)/(1-q) lie in (0, 2), it
+# takes each term from d = p - q with log1p: the direct (1-p) log((1-p)/(1-q))
+# keeps only the absolute precision of a ratio near 1, and cancels against
+# p log(p/q) when q is small (1e-8 relative at p = 1.021e-5, q = 1e-5).
 _NEAR = 0.02
 _SERIES_TERMS = 4  # truncation error below 1e-18 relative at |v| < 0.0102
 
@@ -54,8 +57,9 @@ def _bd0_series(x, m, d):
 def kl_binary(p, q):
     """KL divergence between Bernoulli(p) and Bernoulli(q), natural log.
 
-    bd0(p, q) + bd0(1-p, 1-q) by the series from p - q where p and q are
-    close (see _NEAR), p log(p/q) + (1-p) log((1-p)/(1-q)) elsewhere.
+    bd0(p, q) + bd0(1-p, 1-q) by the series from d = p - q where p and q are
+    close (see _NEAR), p log1p(d/q) + (1-p) log1p(-d/(1-q)) where |d| is below
+    min(q, 1-q), and p log(p/q) + (1-p) log((1-p)/(1-q)) elsewhere.
     """
     p_arr = np.asarray(p, dtype=np.float64)
     q_arr = np.asarray(q, dtype=np.float64)
@@ -63,9 +67,15 @@ def kl_binary(p, q):
         raise ValueError("first argument must lie in [0, 1]")
     if np.any((q_arr < 0) | (q_arr > 1)):
         raise ValueError("second argument must lie in [0, 1]")
-    out = np.asarray(_xlog_ratio(p_arr, q_arr) + _xlog_ratio(1.0 - p_arr, 1.0 - q_arr))
-    diff = p_arr - q_arr
-    near = np.abs(diff) < _NEAR * np.minimum(q_arr, 1.0 - q_arr)
+    diff, q_c = p_arr - q_arr, 1.0 - q_arr
+    with np.errstate(divide="ignore", invalid="ignore"):  # nan or inf only where far
+        out = np.asarray(p_arr * np.log1p(diff / q_arr) + (1.0 - p_arr) * np.log1p(-diff / q_c))
+    gap, edge = np.abs(diff), np.minimum(q_arr, q_c)
+    far = gap >= edge
+    if far.any():
+        p_f, q_f = (np.broadcast_to(a, far.shape)[far] for a in (p_arr, q_arr))
+        out[far] = _xlog_ratio(p_f, q_f) + _xlog_ratio(1.0 - p_f, 1.0 - q_f)
+    near = gap < _NEAR * edge
     if near.any():
         p_n, q_n, d_n = (np.broadcast_to(a, near.shape)[near] for a in (p_arr, q_arr, diff))
         out[near] = _bd0_series(p_n, q_n, d_n) + _bd0_series(1.0 - p_n, 1.0 - q_n, -d_n)
@@ -252,8 +262,11 @@ def _grid_minimizer(tq_axis: np.ndarray, tu_axis: np.ndarray, w_q: float, w_u: f
 def _kl_scalar(x: float, ref: float) -> float:
     """Scalar twin of :func:`kl_binary` for 0 < ref < 1 (no validation)."""
     d = x - ref
-    if abs(d) < _NEAR * min(ref, 1.0 - ref):
+    edge = min(ref, 1.0 - ref)
+    if abs(d) < _NEAR * edge:
         return _bd0_series(x, ref, d) + _bd0_series(1.0 - x, 1.0 - ref, -d)
+    if abs(d) < edge:
+        return x * math.log1p(d / ref) + (1.0 - x) * math.log1p(-d / (1.0 - ref))
     head = x * math.log(x / ref) if x else 0.0
     return head + ((1.0 - x) * math.log((1.0 - x) / (1.0 - ref)) if x != 1.0 else 0.0)
 

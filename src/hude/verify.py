@@ -31,10 +31,8 @@ def _check_counter_discipline() -> str | None:
 
 def _check_l1_values() -> str | None:
     def dist(n, a, b):
-        return distributions.l1_distance(
-            distributions.HalfUniformDistribution(distributions.SupportSet.from_indices(n, a)),
-            distributions.HalfUniformDistribution(distributions.SupportSet.from_indices(n, b)),
-        )
+        support = distributions.SupportSet.from_indices
+        return distributions.l1_distance(support(n, a), support(n, b))
 
     cases = [
         (8, [0, 1, 2, 3], [0, 1, 2, 3], 0.0),
@@ -50,7 +48,7 @@ def _check_l1_values() -> str | None:
 
 def _check_dataset_roundtrip() -> str | None:
     # Past one codec block, with an empty and a full support.
-    k, n = distributions._LINE_BLOCK + 3, 29
+    k, n = distributions._ROW_BLOCK + 3, 29
     drawn = distributions.random_bernoulli_supports(k, n, 0.4, substream(11, "verify-roundtrip"))
     matrix = drawn.matrix.copy()
     matrix[5], matrix[k - 2] = False, True
@@ -95,7 +93,7 @@ def _check_reduction_relation() -> str | None:
     reduced = instances.reduce_gapss_to_urde(g, 10.0, seed=6)
     if reduced.truth_index != g.truth_index:
         return "reduction changed the truth index"
-    support = g.dataset.support(g.truth_index)
+    support = g.dataset.distribution(g.truth_index)
     for element in reduced.query.distinct.indices.tolist():
         if not support.has(element):
             return f"reduced query contains {element} outside the truth support"
@@ -168,7 +166,7 @@ def _check_bucket_soundness() -> str | None:
         probe = index.probes[i]
         in_bucket = set(index.bucket(i).tolist())
         for j in range(inst.dataset.k):
-            holds = all(inst.dataset.support(j).has(int(e)) for e in probe)
+            holds = all(inst.dataset.distribution(j).has(int(e)) for e in probe)
             if holds != (j in in_bucket):
                 return f"bucket {i} wrong about candidate {j}"
     padded = np.flatnonzero(np.unpackbits(index.masks, axis=1)[:, inst.dataset.k :].any(axis=1))

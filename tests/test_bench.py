@@ -50,7 +50,7 @@ def _reference_eliminate(data, candidates, sample, counter):
     for element in sample.order.tolist():
         survivors = []
         for j in alive:
-            if contains(data.support(j), element, counter):
+            if contains(data.distribution(j), element, counter):
                 survivors.append(j)
         alive = survivors
         if len(alive) == 1:
@@ -63,7 +63,7 @@ def _reference_eliminate(data, candidates, sample, counter):
 def _reference_certify(data, j, pool, cap, counter, rng):
     """Literal certificate: up to ``cap`` shuffled distinct elements, stop at a miss."""
     for element in rng.permutation(pool)[: min(cap, pool.size)].tolist():
-        if not contains(data.support(j), element, counter):
+        if not contains(data.distribution(j), element, counter):
             return False
     return True
 

@@ -10,10 +10,12 @@ import sys
 
 import pytest
 
+from hude import instances, subset_index
 from hude.bench import ResultRow
 from hude.cli import main
-from hude.distributions import read_rows
+from hude.distributions import SupportSet, read_rows
 from hude.instances import load_instance
+from hude.rng import substream
 from hude.tradeoff import TradeoffPoint
 
 
@@ -80,6 +82,17 @@ class TestGen:
         err = capsys.readouterr().err
         assert "error: separation promise failed after 10 retries" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_empty_truth_support_is_a_clean_error(self, tmp_path, capsys):
+        # Every redraw of the truth row is empty at w_u = 1e-300; they once went on forever.
+        out = tmp_path / "inst"
+        rc = _main_within(["gen", "--problem", "urde", "--n", "10", "--k", "3", "--w-u",
+                           "1e-300", "--s", "1e300", "--out", str(out)], seconds=5)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: truth support still empty after 1,000 redraws" in err
+        assert "empty with probability (1 - w_u)^n = 1 (w_u=1e-300)" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -543,22 +556,106 @@ class TestVerifyAndUsage:
         assert "hude" in capsys.readouterr().out
 
 
-def _main_within(argv, seconds=30):
-    """``main(argv)``'s exit code, or TimeoutError if it runs past ``seconds``
-    (a NaN rate once sent Poisson sampling into an endless loop)."""
+def _within(call, seconds=30, name="the call"):
+    """``call()``, or TimeoutError if it runs past ``seconds``."""
 
     def hung(signum, frame):
-        raise TimeoutError(f"hude {' '.join(argv)} ran past {seconds} s")
+        raise TimeoutError(f"{name} ran past {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(seconds)
     try:
-        return main(argv)
-    except SystemExit as err:
-        return err.code
+        return call()
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _main_within(argv, seconds=30):
+    """``main(argv)``'s exit code, or TimeoutError if it runs past ``seconds``
+    (a NaN rate once sent Poisson sampling into an endless loop)."""
+
+    def run():
+        try:
+            return main(argv)
+        except SystemExit as err:
+            return err.code
+
+    return _within(run, seconds, f"hude {' '.join(argv)}")
+
+
+class _Validated(Exception):
+    """Raised in place of the first large allocation once a value at its cap is accepted."""
+
+
+def _validated(*args, **kwargs):
+    raise _Validated
+
+
+class TestCapEdges:
+    """Each cap: the value at it is accepted and the next one is refused with its
+    message, in-process under ``signal.alarm``.  Where accepting would allocate
+    more than about 100 MB, the first step after the check raises ``_Validated``."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--ell", "3", "--num-probes"], "num_probes must be at most 10,000,000 (got 10,000,001)"),
+         (["--rho-u", "0", "--c"], "probe count c * k**rho_u = 10000001 exceeds 10,000,000")],
+        ids=["num-probes", "space-exponent-rule"],
+    )
+    def test_num_probes(self, tmp_path, capsys, monkeypatch, flags, message):
+        out = tmp_path / "inst"
+        assert main(_gen_args(out)) == 0
+        argv = ["query", "--instance", str(out), "--algorithm", "subset", *flags]
+        with monkeypatch.context() as patch:  # 10,000,000 probes: 80 MB of keys and more
+            patch.setattr(subset_index, "sample_probes", _validated)
+            with pytest.raises(_Validated):
+                _main_within(argv + ["10000000"], seconds=10)
+        assert _main_within(argv + ["10000001"], seconds=10) == 1
+        assert message in capsys.readouterr().err
+
+    def test_probe_search_cap(self, tmp_path, capsys):
+        argv = ["bench", "--sweep", "k", "--values", "100", "--queries", "3", "--L-cap"]
+        assert _main_within(argv + ["10000000", "--out", str(tmp_path / "a.csv")]) == 0
+        assert _main_within(argv + ["10000001", "--out", str(tmp_path / "b.csv")]) == 1
+        assert "L_cap must be at most 10,000,000 (got 10,000,001)" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_query_rate(self, tmp_path, capsys):
+        # n / (s * w_u) = 15,625 * 64 = 1e6 exactly; the truth support holds about 244.
+        argv = ["gen", "--problem", "urde", "--k", "1", "--w-u", "0.015625", "--s", "1"]
+        assert _main_within(argv + ["--n", "15625", "--out", str(tmp_path / "a")]) == 0
+        assert _main_within(argv + ["--n", "15626", "--out", str(tmp_path / "b")]) == 1
+        assert ("s = 1.0 is too small: the query rate n/(s*w_u) = 1000064 exceeds 1e+06"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "b").exists()
+
+    def test_poisson_rate(self, monkeypatch):
+        cap = instances._MAX_POISSON_RATE
+        above = math.nextafter(cap, math.inf)
+        refused = r"at most 1e\+06 \(got 1000000.0000000001\)"
+        # A zero-truncated draw at the cap takes about 0.2 s; a plain one about 1 s.
+        assert _within(lambda: instances._truncated_counts(cap, 1, substream(1, "cap")))[0] > 0
+        with pytest.raises(ValueError, match=refused):
+            _within(lambda: instances._truncated_counts(above, 1, substream(1, "cap")))
+        with monkeypatch.context() as patch:
+            patch.setattr(instances, "_poisson_knuth", _validated)
+            with pytest.raises(_Validated):
+                _within(lambda: instances.poisson(cap, substream(1, "cap")))
+        with pytest.raises(ValueError, match=refused):
+            _within(lambda: instances.poisson(above, substream(1, "cap")))
+
+    def test_query_samples(self, tmp_path, capsys, monkeypatch):
+        # n / s = 10 / 1e-6 = 1e7 draws exactly (160 MB while drawn); then 10,000,001.
+        argv = ["gen", "--problem", "hude", "--n", "10", "--k", "1", "--eps", "0.5"]
+        with monkeypatch.context() as patch:
+            patch.setattr(SupportSet, "sample", _validated)
+            with pytest.raises(_Validated):
+                _main_within(argv + ["--s", "1e-6", "--out", str(tmp_path / "a")])
+        s_above = repr(10 / 10_000_001)
+        assert _main_within(argv + ["--s", s_above, "--out", str(tmp_path / "b")]) == 1
+        assert (f"n/s >= 1 query samples (got {s_above}), and at most 10,000,000 of them"
+                in capsys.readouterr().err)
 
 
 class TestFloatFlagFuzz:

@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 
 from hude import distributions
 from hude.distributions import (
-    _LINE_BLOCK,
     _ROW_BLOCK,
     MAX_DATASET_CELLS,
     Dataset,
-    HalfUniformDistribution,
     OpCounter,
     QueryMultiset,
     SupportSet,
@@ -35,7 +33,7 @@ CODEC_BLOCK = 1024  # support lines per block of the dataset file codec
 
 
 def _dist(n, indices):
-    return HalfUniformDistribution(SupportSet.from_indices(n, indices))
+    return SupportSet.from_indices(n, indices)
 
 
 def _argpartition_supports(k, n, m, rng):
@@ -135,7 +133,7 @@ class TestL1Distance:
 
     def test_empty_support(self):
         with pytest.raises(ValueError):
-            l1_distance(_dist(8, [0]), HalfUniformDistribution(SupportSet.from_indices(8, [])))
+            l1_distance(_dist(8, [0]), SupportSet.from_indices(8, []))
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -186,7 +184,7 @@ class TestSampling:
 
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError):
-            HalfUniformDistribution(SupportSet.from_indices(8, [])).sample(1, substream(1, "s"))
+            SupportSet.from_indices(8, []).sample(1, substream(1, "s"))
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
@@ -197,8 +195,7 @@ class TestSampling:
         # E[|distinct|] = (n/2) * (1 - (1 - 2/n)^m).
         n, m, reps = 500, 50, 2000
         expected = (n / 2) * (1.0 - (1.0 - 2.0 / n) ** m)
-        support = SupportSet.from_indices(n, range(n // 2))
-        dist = HalfUniformDistribution(support)
+        dist = SupportSet.from_indices(n, range(n // 2))
         rng = substream(23, "distinct-mc")
         counts = np.array(
             [dist.sample(m, rng).distinct.cardinality for _ in range(reps)], dtype=float
@@ -381,7 +378,7 @@ class TestDatasetSerialization:
         assert meta == {"tag": 1}
 
     def test_codec_block_is_the_size_the_tests_cross(self):
-        assert _LINE_BLOCK == CODEC_BLOCK
+        assert _ROW_BLOCK == CODEC_BLOCK
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)

@@ -53,6 +53,13 @@ class TestSmallCases:
         with pytest.raises(ValueError):
             eliminate(data, np.asarray([1, 1]), _query(4, [0]), OpCounter())
 
+    @pytest.mark.parametrize("candidate", [-1, 2])
+    def test_candidate_outside_the_dataset_rejected(self, candidate):
+        # k = 2 leaves padding bits in the alive bitmap that index 2 would land on.
+        data = Dataset.from_supports(4, [[0], [1]])
+        with pytest.raises(ValueError, match=r"candidate outside the dataset \[0, 2\)"):
+            eliminate(data, np.asarray([candidate]), _query(4, [0]), OpCounter())
+
     def test_ops_follow_alive_sizes(self):
         # Hand trace: sample 0 keeps all three (3 ops), sample 1 drops the
         # middle support (3 ops), sample 2 drops the last rival (2 ops).

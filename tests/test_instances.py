@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hude import instances
 from hude.distributions import l1_distance
 from hude.instances import (
     GapssInstance,
@@ -57,9 +58,9 @@ class TestGenHude:
     def test_single_distribution_toy(self):
         inst = gen_hude(4, 1, 1.0, 2.0, seed=0)
         assert inst.truth_index == 0
-        assert inst.dataset.support(0).cardinality == 2
+        assert inst.dataset.distribution(0).cardinality == 2
         assert inst.query.order.size == 2
-        assert set(dict(inst.query.pairs())) <= set(inst.dataset.support(0).indices.tolist())
+        assert set(dict(inst.query.pairs())) <= set(inst.dataset.distribution(0).indices.tolist())
 
     def test_default_experiment_shape(self):
         # The benchmark default instance shape: k=50000 supports of size 250
@@ -136,7 +137,7 @@ class TestGenUrde:
 
     def test_query_supported_on_truth(self):
         inst = gen_urde(200, 20, 0.5, 8.0, seed=5)
-        truth_support = inst.dataset.support(inst.truth_index)
+        truth_support = inst.dataset.distribution(inst.truth_index)
         for element in inst.query.distinct.indices.tolist():
             assert truth_support.has(element)
 
@@ -145,6 +146,12 @@ class TestGenUrde:
             gen_urde(16, 2, 0.0, 4.0, seed=0)
         with pytest.raises(ValueError):
             gen_urde(16, 2, 0.5, 0.0, seed=0)
+
+    def test_truth_redraws_stay_within_the_cell_cap(self, monkeypatch):
+        # At w_u = 1e-300 every redraw is empty; with a 45-cell cap, 4 rows of 10 fit.
+        monkeypatch.setattr(instances, "MAX_DATASET_CELLS", 45)
+        with pytest.raises(GenerationError, match="truth support still empty after 4 redraws"):
+            gen_urde(10, 3, 1e-300, 1e300, seed=0)
 
 
 class TestGenGapss:

@@ -270,7 +270,7 @@ class TestCollisionBound:
         truth = list(range(half))
         other = list(range(shared)) + list(range(half, half + (half - shared)))
         data = Dataset.from_supports(n, [truth, other])
-        assert data.support(0).intersection_size(data.support(1)) == shared
+        assert np.count_nonzero(data.distribution(0).bits & data.distribution(1).bits) == shared
         rng = substream(14, "plant")
         # Sample probes inside the truth support (the conditioning event).
         idx = np.asarray(truth)
@@ -295,7 +295,7 @@ class TestFalseAccepts:
         for t in range(trials):
             rng = substream(16, "absent", t)
             absent = random_fixed_size_supports(1, n, n // 2, rng).distribution(0)
-            overlap = data.matrix[:, absent.support.bits].sum(axis=1)
+            overlap = data.matrix[:, absent.bits].sum(axis=1)
             if (2.0 - 4.0 * overlap / n).min() <= eps:
                 skipped += 1
                 continue

@@ -58,6 +58,20 @@ class TestKlBinary:
     def test_nonnegative(self, p, q):
         assert kl_binary(p, q) >= 0.0
 
+    # Just outside the series band, where the direct form cancels; then each mirrored.
+    CLOSE = [(1.021e-5, 1e-5), (1.021e-3, 1e-3), (0.6e-5, 1e-5), (1.9e-5, 1e-5), (0.3, 0.2)]
+
+    @pytest.mark.parametrize("p, q", CLOSE + [(1.0 - p, 1.0 - q) for p, q in CLOSE])
+    def test_matches_60_digit_reference(self, p, q):
+        from hude.tradeoff import _kl_scalar
+
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            p60, q60 = decimal.Decimal(p), decimal.Decimal(q)
+            expected = _xlog_ratio_60(p60, q60) + _xlog_ratio_60(1 - p60, 1 - q60)
+        for got in (kl_binary(p, q), kl_binary(np.array([p]), q)[0], _kl_scalar(p, q)):
+            assert abs(decimal.Decimal(float(got)) - expected) <= decimal.Decimal(1e-13) * expected
+
 
 class TestCouplingKl:
     def test_equal_laws_are_zero(self):
