@@ -142,12 +142,10 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="leading constant for the prior-general curve")
     grid_cap = ("--tu-points times --tq-points is at most 1,000,000; the solver's grid "
                 "takes 24 bytes a point")
-    tro.add_argument("--tu-points", type=int, default=401,
+    tro.add_argument("--tu-points", type=int, default=SearchOptions.tu_points,
                      help=f"t_u points of the numeric-lop coarse grid ({grid_cap})")
-    tro.add_argument("--tq-points", type=int, default=241,
+    tro.add_argument("--tq-points", type=int, default=SearchOptions.tq_points,
                      help=f"t_q points of the numeric-lop coarse grid ({grid_cap})")
-    tro.add_argument("--alpha-points", type=int, default=101,
-                     help="alpha grid points of the numeric-lop maximization (at most 10,001)")
     tro.add_argument("--out", required=True)
 
     ver = sub.add_parser("verify", help="run the invariant suite")
@@ -264,7 +262,6 @@ def _cmd_tradeoff(args) -> int:
         curves=curves,
         prior_constant=args.prior_constant,
         opts=opts,
-        alpha_points=args.alpha_points,
     )
     metadata = {
         "rho_u": args.rho_u,

@@ -32,11 +32,11 @@ def _xlog_ratio(x, ref):
     return out
 
 
-# kl_binary takes the series where |p - q| < _NEAR * min(q, 1 - q).  Past that,
-# while |p - q| < min(q, 1 - q), so that p/q and (1-p)/(1-q) lie in (0, 2), it
-# takes each term from d = p - q with log1p: the direct (1-p) log((1-p)/(1-q))
-# keeps only the absolute precision of a ratio near 1, and cancels against
-# p log(p/q) when q is small (1e-8 relative at p = 1.021e-5, q = 1e-5).
+# kl_binary takes the series where |p - q| < _NEAR * min(q, 1 - q) and
+# elsewhere takes each term from d = p - q with log1p: the direct
+# (1-p) log((1-p)/(1-q)) keeps only the absolute precision of a ratio near 1,
+# and cancels against p log(p/q) when q is small (6e-5 relative at
+# p = 2e-12, q = 1e-12).
 _NEAR = 0.02
 _SERIES_TERMS = 4  # truncation error below 1e-18 relative at |v| < 0.0102
 
@@ -54,12 +54,25 @@ def _bd0_series(x, m, d):
     return d * v + 2.0 * x * v * v2 * tail
 
 
+def _xlog1p(x, ref, d):
+    """x log(x/ref) as x log1p(d/ref) from d = x - ref; _xlog_ratio's direct
+    form where d/ref rounds to -1 (x is 0 or far below ref) or ref is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = d / ref
+        out = np.asarray(x * np.log1p(ratio))
+    direct = (ratio <= -1.0) | (ref == 0.0)
+    if direct.any():
+        x_d, ref_d = (np.broadcast_to(a, direct.shape)[direct] for a in (x, ref))
+        out[direct] = _xlog_ratio(x_d, ref_d)
+    return out
+
+
 def kl_binary(p, q):
     """KL divergence between Bernoulli(p) and Bernoulli(q), natural log.
 
     bd0(p, q) + bd0(1-p, 1-q) by the series from d = p - q where p and q are
-    close (see _NEAR), p log1p(d/q) + (1-p) log1p(-d/(1-q)) where |d| is below
-    min(q, 1-q), and p log(p/q) + (1-p) log((1-p)/(1-q)) elsewhere.
+    close (see _NEAR), and p log1p(d/q) + (1-p) log1p(-d/(1-q)) elsewhere
+    (see _xlog1p for where a term falls back to the direct form).
     """
     p_arr = np.asarray(p, dtype=np.float64)
     q_arr = np.asarray(q, dtype=np.float64)
@@ -68,14 +81,8 @@ def kl_binary(p, q):
     if np.any((q_arr < 0) | (q_arr > 1)):
         raise ValueError("second argument must lie in [0, 1]")
     diff, q_c = p_arr - q_arr, 1.0 - q_arr
-    with np.errstate(divide="ignore", invalid="ignore"):  # nan or inf only where far
-        out = np.asarray(p_arr * np.log1p(diff / q_arr) + (1.0 - p_arr) * np.log1p(-diff / q_c))
-    gap, edge = np.abs(diff), np.minimum(q_arr, q_c)
-    far = gap >= edge
-    if far.any():
-        p_f, q_f = (np.broadcast_to(a, far.shape)[far] for a in (p_arr, q_arr))
-        out[far] = _xlog_ratio(p_f, q_f) + _xlog_ratio(1.0 - p_f, 1.0 - q_f)
-    near = gap < _NEAR * edge
+    out = np.asarray(_xlog1p(p_arr, q_arr, diff) + _xlog1p(1.0 - p_arr, q_c, -diff))
+    near = np.abs(diff) < _NEAR * np.minimum(q_arr, q_c)
     if near.any():
         p_n, q_n, d_n = (np.broadcast_to(a, near.shape)[near] for a in (p_arr, q_arr, diff))
         out[near] = _bd0_series(p_n, q_n, d_n) + _bd0_series(1.0 - p_n, 1.0 - q_n, -d_n)
@@ -169,10 +176,9 @@ def _gaps(t_q, t_u, w_q, w_u):
 _EDGE_MARGIN = 1e-9  # grids stay this far inside the t_q < t_u edge
 _EXCLUDE_BAND = 1e-4  # the search's exclusion half-width around t_u == w_u
 # tu_points * tq_points.  With the axes' extra points the grid at the cap is
-# 4,240 x 291; a curve point there takes about 0.4 s and peaks at 28 MiB
-# under tracemalloc.
+# 4,240 x 291; a curve point there takes about 0.2 s on a 2-core VM and
+# peaks at 28 MiB under tracemalloc.
 _MAX_GRID_POINTS = 1_000_000
-_MAX_ALPHA_POINTS = 10_001  # about 2.4 s a curve point
 _ROW_BLOCK = 32  # t_u rows per block of the grid build
 
 
@@ -259,16 +265,20 @@ def _grid_minimizer(tq_axis: np.ndarray, tu_axis: np.ndarray, w_q: float, w_u: f
     return grid_min
 
 
+def _xlog1p_scalar(x: float, ref: float, d: float) -> float:
+    """Scalar twin of :func:`_xlog1p` for ref > 0."""
+    ratio = d / ref
+    if ratio > -1.0:
+        return x * math.log1p(ratio)
+    return x * math.log(x / ref) if x else 0.0
+
+
 def _kl_scalar(x: float, ref: float) -> float:
     """Scalar twin of :func:`kl_binary` for 0 < ref < 1 (no validation)."""
     d = x - ref
-    edge = min(ref, 1.0 - ref)
-    if abs(d) < _NEAR * edge:
+    if abs(d) < _NEAR * min(ref, 1.0 - ref):
         return _bd0_series(x, ref, d) + _bd0_series(1.0 - x, 1.0 - ref, -d)
-    if abs(d) < edge:
-        return x * math.log1p(d / ref) + (1.0 - x) * math.log1p(-d / (1.0 - ref))
-    head = x * math.log(x / ref) if x else 0.0
-    return head + ((1.0 - x) * math.log((1.0 - x) / (1.0 - ref)) if x != 1.0 else 0.0)
+    return _xlog1p_scalar(x, ref, d) + _xlog1p_scalar(1.0 - x, 1.0 - ref, -d)
 
 
 def _objective_scalar(t_q: float, t_u: float, w_q: float, w_u: float, alpha: float) -> float:
@@ -484,7 +494,7 @@ def _check_rho_u(rho_u: float) -> None:
 class LowerBoundResult:
     rho_q: float
     alpha: float
-    alpha_boundary: bool  # maximizer pinned at the smallest alpha grid point
+    alpha_boundary: bool  # maximizer at the smallest alpha searched, 0.01
     clamped: bool  # raw bound fell outside [0, 1]
     infimum: InfimumResult
 
@@ -494,38 +504,23 @@ def query_exponent_lower_bound(
     w_u: float,
     rho_u: float,
     opts: SearchOptions | None = None,
-    alpha_points: int = 101,
 ) -> LowerBoundResult:
     """Best achievable bound rho_q >= max_alpha (inf F(alpha) - (1-alpha) rho_u)/alpha.
 
-    The alpha grid always contains 1 + 1/log(w_q) (the theoretically
-    motivated weight) when it lies in (0, 1).  The bound is evaluated on the
-    coarse (t_q, t_u) grid at every grid alpha; the infimum is solved exactly
-    only at the coarse maximizer and its two neighbours on each side, and
-    Brent's method refines the bracket around the best of those to 1e-6.
-    Each exact solve is minimize_objective's.  The result is clamped to
-    [0, 1].
+    inf F is an infimum of functions affine in alpha, so it is concave, and
+    the bound's derivative has the nonincreasing numerator
+    alpha * inf F' - inf F + rho_u: the bound has one peak on [0.01, 1].  Both
+    ends are solved exactly, then Brent's method finds the peak between them
+    to 1e-6 in alpha; each exact solve is minimize_objective's.  The result
+    is clamped to [0, 1].
     """
     _check_rho_u(rho_u)
     if not 0.0 < w_q < w_u < 1.0:
         raise ValueError("parameters must satisfy 0 < w_q < w_u < 1")
-    if alpha_points < 2:
-        raise ValueError(f"alpha_points must be at least 2 (got {alpha_points})")
-    if alpha_points > _MAX_ALPHA_POINTS:
-        raise ValueError(f"alpha_points must be at most {_MAX_ALPHA_POINTS:,} (got {alpha_points})")
     opts = opts or SearchOptions()
-
-    alphas = np.linspace(0.01, 1.0, alpha_points)
-    alpha_theory = 1.0 + 1.0 / math.log(w_q)
-    if 0.0 < alpha_theory < 1.0:
-        alphas = np.unique(np.concatenate([alphas, [alpha_theory]]))
-    order = alphas.tolist()
 
     tq_axis = _tq_axis(w_q, opts.tq_points)
     grid_min = _grid_minimizer(tq_axis, _tu_axis(w_u, opts.tu_points), w_q, w_u)
-    coarse = [(grid_min(alpha)[0] - (1.0 - alpha) * rho_u) / alpha for alpha in order]
-    pos = int(np.argmax(coarse))
-
     solves: dict[float, InfimumResult] = {}
 
     def bound(alpha: float) -> float:
@@ -535,18 +530,15 @@ def query_exponent_lower_bound(
         solves[alpha] = _infimum(grid_min, w_q, w_u, alpha)
         return -bound(alpha)
 
-    for alpha in order[max(pos - 2, 0) : pos + 3]:
-        negated_bound(alpha)
-    pos = order.index(max(solves, key=bound))
-    _brent_min(
-        negated_bound, order[max(pos - 1, 0)], order[min(pos + 1, len(order) - 1)], xtol=1e-6
-    )
+    lo, hi = 0.01, 1.0
+    negated_bound(lo)
+    negated_bound(hi)
+    _brent_min(negated_bound, lo, hi, xtol=1e-6)
     best_alpha = max(solves, key=bound)
     raw = bound(best_alpha)
-    boundary = best_alpha == order[0]
     clamped = not 0.0 <= raw <= 1.0
     rho_q = min(1.0, max(0.0, raw))
-    return LowerBoundResult(rho_q, float(best_alpha), boundary, clamped, solves[best_alpha])
+    return LowerBoundResult(rho_q, best_alpha, best_alpha == lo, clamped, solves[best_alpha])
 
 
 # ---------------------------------------------------------------------------
@@ -649,10 +641,11 @@ def tradeoff_rows(
     curves=DEFAULT_CURVES,
     prior_constant: float | None = None,
     opts: SearchOptions | None = None,
-    alpha_points: int = 101,
 ) -> list[TradeoffPoint]:
     """One row per (sample ratio, curve); query densities follow the reduction map.
 
+    numeric-lop rows come from query_exponent_lower_bound with ``opts``, flagged
+    alpha-boundary when its peak is at the smallest alpha searched, 0.01.
     The prior-general curve (1 - const * eps^2 / s) needs its leading
     constant supplied explicitly; only an asymptotic order is published for
     it, so no default is invented here.
@@ -674,9 +667,7 @@ def tradeoff_rows(
         for curve in curves:
             flags: list[str] = []
             if curve == "numeric-lop":
-                res = query_exponent_lower_bound(
-                    w_q, w_u, rho_u, opts=opts, alpha_points=alpha_points
-                )
+                res = query_exponent_lower_bound(w_q, w_u, rho_u, opts=opts)
                 rho_q = res.rho_q
                 if res.alpha_boundary:
                     flags.append("alpha-boundary")

@@ -420,7 +420,7 @@ class TestTradeoff:
         out = tmp_path / "curves.csv"
         rc = main([
             "tradeoff", "--rho-u", "0.5", "--s-grid", "20:80:log3",
-            "--tu-points", "151", "--tq-points", "91", "--alpha-points", "21",
+            "--tu-points", "151", "--tq-points", "91",
             "--out", str(out),
         ])
         assert rc == 0
@@ -438,12 +438,9 @@ class TestTradeoff:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--alpha-points", "0", "alpha_points must be at least 2 (got 0)"),
-            ("--alpha-points", "1", "alpha_points must be at least 2 (got 1)"),
             ("--tu-points", "1", "grid sizes must be at least 2"),
             ("--tq-points", "0", "grid sizes must be at least 2"),
             ("--tu-points", "100000000", "tu_points * tq_points must be at most 1,000,000"),
-            ("--alpha-points", "10000000", "alpha_points must be at most 10,001"),
         ],
     )
     def test_degenerate_search_flags_fail(self, tmp_path, capsys, flag, value, message):
@@ -455,7 +452,7 @@ class TestTradeoff:
         assert not out.exists()
 
     def test_search_flag_help_states_the_caps(self, capsys):
-        from hude.tradeoff import _MAX_ALPHA_POINTS, _MAX_GRID_POINTS
+        from hude.tradeoff import _MAX_GRID_POINTS
 
         with pytest.raises(SystemExit):
             main(["tradeoff", "--help"])
@@ -463,7 +460,6 @@ class TestTradeoff:
         grid_cap = (f"--tu-points times --tq-points is at most {_MAX_GRID_POINTS:,}; "
                     "the solver's grid takes 24 bytes a point")
         assert text.count(grid_cap) == 2  # in --tu-points' and --tq-points' help
-        assert f"maximization (at most {_MAX_ALPHA_POINTS:,})" in text
 
     @pytest.mark.parametrize("spec", ["oops", "20:40:log0", "20:40:lin-1", "20:40:geo5"])
     def test_bad_grid_spec_is_usage_error(self, tmp_path, spec):
@@ -665,7 +661,7 @@ class TestFloatFlagFuzz:
 
     VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-320", "1e308"]
     TRADEOFF = ["tradeoff", "--rho-u", "0.5", "--s-grid", "20:40:lin2", "--tu-points", "41",
-                "--tq-points", "31", "--alpha-points", "5", "--prior-constant", "1",
+                "--tq-points", "31", "--prior-constant", "1",
                 "--curves", "numeric-lop,analytic-lower,explicit-gapss,upper-half-uniform,"
                 "upper-simplified,prior-general"]
     BENCH = ["bench", "--sweep", "k", "--values", "100", "--queries", "3", "--L-cap", "1000"]

@@ -60,8 +60,11 @@ class TestKlBinary:
 
     # Just outside the series band, where the direct form cancels; then each mirrored.
     CLOSE = [(1.021e-5, 1e-5), (1.021e-3, 1e-3), (0.6e-5, 1e-5), (1.9e-5, 1e-5), (0.3, 0.2)]
+    # Further out, where the direct form cancels for small q or at p = 1.
+    FAR = [(2e-5, 1e-5), (2.01e-8, 1e-8), (2e-12, 1e-12), (3e-12, 1e-12),
+           (1.0 - 2.01e-8, 1.0 - 1e-8), (1.0, 0.999999999999)]
 
-    @pytest.mark.parametrize("p, q", CLOSE + [(1.0 - p, 1.0 - q) for p, q in CLOSE])
+    @pytest.mark.parametrize("p, q", CLOSE + [(1.0 - p, 1.0 - q) for p, q in CLOSE] + FAR)
     def test_matches_60_digit_reference(self, p, q):
         from hude.tradeoff import _kl_scalar
 
@@ -340,7 +343,7 @@ class TestQueryExponentBound:
         w_q = required_w_q(0.5, 50.0)
         opts = SearchOptions(tu_points=201, tq_points=121)
         values = [
-            query_exponent_lower_bound(w_q, 0.5, rho_u, opts=opts, alpha_points=41).rho_q
+            query_exponent_lower_bound(w_q, 0.5, rho_u, opts=opts).rho_q
             for rho_u in (0.0, 0.25, 0.5, 1.0)
         ]
         assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
@@ -350,8 +353,8 @@ class TestQueryExponentBound:
         # upper-bounds every (inf - (1-alpha) rho)/alpha value.
         w_q = required_w_q(0.5, 50.0)
         opts = SearchOptions(tu_points=201, tq_points=121)
-        zero = query_exponent_lower_bound(w_q, 0.5, 0.0, opts=opts, alpha_points=41)
-        half = query_exponent_lower_bound(w_q, 0.5, 0.5, opts=opts, alpha_points=41)
+        zero = query_exponent_lower_bound(w_q, 0.5, 0.0, opts=opts)
+        half = query_exponent_lower_bound(w_q, 0.5, 0.5, opts=opts)
         assert zero.rho_q >= half.rho_q
 
     def test_sits_between_closed_form_curves(self):
@@ -372,8 +375,18 @@ class TestQueryExponentBound:
         # it must be the standalone solve's.
         w_q = required_w_q(0.5, s)
         opts = SearchOptions(tu_points=201, tq_points=121)
-        result = query_exponent_lower_bound(w_q, 0.5, rho_u, opts=opts, alpha_points=41)
+        result = query_exponent_lower_bound(w_q, 0.5, rho_u, opts=opts)
         assert result.infimum == minimize_objective(w_q, 0.5, result.alpha, opts)
+
+    def test_not_below_exact_solves_near_the_peak(self):
+        # Here the peak is at alpha = 0.840 (bound 0.0178548 at 0.84), between
+        # points of a 102-alpha grid whose coarse scan picked 0.8515 (0.0175117).
+        w_q = required_w_q(0.3, float(np.geomspace(3.0, 1e5, 9)[2]))
+        best = max(
+            (minimize_objective(w_q, 0.3, a).value - (1.0 - a) * 2.0) / a
+            for a in np.linspace(0.80, 0.90, 21).tolist()
+        )
+        assert query_exponent_lower_bound(w_q, 0.3, 2.0).rho_q >= best - 1e-12
 
 
 class TestPinnedCurve:
@@ -405,7 +418,7 @@ class TestPinnedCurve:
         w_q = required_w_q(0.5, 50.0)
         opts = SearchOptions(tu_points=201, tq_points=121)
         for rho_u, expected in recorded.items():
-            got = query_exponent_lower_bound(w_q, 0.5, rho_u, opts=opts, alpha_points=41)
+            got = query_exponent_lower_bound(w_q, 0.5, rho_u, opts=opts)
             assert got.rho_q == pytest.approx(expected, abs=1e-8), f"rho_u={rho_u}"
 
 
@@ -539,10 +552,6 @@ class TestSearchSizeCaps:
         assert SearchOptions(tu_points=4149, tq_points=241)  # 999,909 grid points
         with pytest.raises(ValueError, match=r"tu_points \* tq_points must be at most 1,000,000"):
             SearchOptions(tu_points=1000, tq_points=1001)
-
-    def test_alpha_points_cap(self):
-        with pytest.raises(ValueError, match="alpha_points must be at most 10,001"):
-            query_exponent_lower_bound(required_w_q(0.5, 20.0), 0.5, 0.5, alpha_points=10_002)
 
     def test_grid_peak_memory_at_the_cap(self):
         # The 4,240 x 291 grid is three float64 arrays (29.6 MB) plus one
@@ -734,7 +743,7 @@ class TestEntropyGap:
 class TestCurveEmission:
     def test_rows_within_unit_interval(self):
         opts = SearchOptions(tu_points=201, tq_points=121)
-        rows = tradeoff_rows(0.5, [20.0, 100.0], opts=opts, alpha_points=41)
+        rows = tradeoff_rows(0.5, [20.0, 100.0], opts=opts)
         assert len(rows) == 8
         for row in rows:
             assert 0.0 <= row.rho_q <= 1.0
