@@ -31,7 +31,7 @@ from .subset_index import (
     query,
     theoretical_params,
 )
-from .tradeoff import DEFAULT_CURVES, SearchOptions, tradeoff_rows
+from .tradeoff import DEFAULT_CURVES, tradeoff_rows
 from .verify import SUITES, run_suite
 
 
@@ -140,12 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="comma-separated curve ids")
     tro.add_argument("--prior-constant", type=float,
                      help="leading constant for the prior-general curve")
-    grid_cap = ("--tu-points times --tq-points is at most 1,000,000; the solver's grid "
-                "takes 24 bytes a point")
-    tro.add_argument("--tu-points", type=int, default=SearchOptions.tu_points,
-                     help=f"t_u points of the numeric-lop coarse grid ({grid_cap})")
-    tro.add_argument("--tq-points", type=int, default=SearchOptions.tq_points,
-                     help=f"t_q points of the numeric-lop coarse grid ({grid_cap})")
     tro.add_argument("--out", required=True)
 
     ver = sub.add_parser("verify", help="run the invariant suite")
@@ -252,7 +246,6 @@ def _cmd_bench(args) -> int:
 
 def _cmd_tradeoff(args) -> int:
     curves = tuple(c for c in args.curves.split(",") if c)
-    opts = SearchOptions(tu_points=args.tu_points, tq_points=args.tq_points)
     _check_writable(args.out)
     rows = tradeoff_rows(
         args.rho_u,
@@ -261,7 +254,6 @@ def _cmd_tradeoff(args) -> int:
         w_u=args.w_u,
         curves=curves,
         prior_constant=args.prior_constant,
-        opts=opts,
     )
     metadata = {
         "rho_u": args.rho_u,

@@ -2,7 +2,7 @@
 
 KL divergences over the forced two-by-two coupling, the constrained ratio
 objective whose infimum lower-bounds any list-of-points data structure, a
-grid-plus-polish minimizer for that objective, the closed-form lower and
+per-side Brent minimizer for that objective, the closed-form lower and
 upper curves, and :class:`TradeoffPoint` rows of all of them on a common
 sample-ratio axis (written as CSV by :func:`hude.distributions.write_rows`).
 
@@ -173,30 +173,13 @@ def _gaps(t_q, t_u, w_q, w_u):
 # ---------------------------------------------------------------------------
 
 
-_EDGE_MARGIN = 1e-9  # grids stay this far inside the t_q < t_u edge
 _EXCLUDE_BAND = 1e-4  # the search's exclusion half-width around t_u == w_u
-# tu_points * tq_points.  With the axes' extra points the grid at the cap is
-# 4,240 x 291; a curve point there takes about 0.2 s on a 2-core VM and
-# peaks at 28 MiB under tracemalloc.
-_MAX_GRID_POINTS = 1_000_000
-_ROW_BLOCK = 32  # t_u rows per block of the grid build
-
-
-@dataclass(frozen=True)
-class SearchOptions:
-    """Coarse-grid densities for the objective minimization."""
-
-    tu_points: int = 401
-    tq_points: int = 241
-
-    def __post_init__(self):
-        sizes = f"tu_points={self.tu_points}, tq_points={self.tq_points}"
-        if self.tu_points < 2 or self.tq_points < 2:
-            raise ValueError(f"grid sizes must be at least 2 (got {sizes})")
-        if self.tu_points * self.tq_points > _MAX_GRID_POINTS:
-            raise ValueError(
-                f"tu_points * tq_points must be at most {_MAX_GRID_POINTS:,} (got {sizes})"
-            )
+_SIDE_XTOL = 1e-5  # Brent's tolerance in each side's search variable (_side_minimum)
+_FAR_GAP = 1e-12  # that search stops this share of the side short of its far end
+# A side minimum less than this share below the line limit reports the limit:
+# at w_q = 1e-5, w_u = alpha = 1/2 float rounding put one 1.3e-12 below it,
+# where 60-digit arithmetic puts the objective 1.2e-13 above.
+_TIE_RTOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -208,61 +191,6 @@ class InfimumResult:
     value: float
     t_q: float
     t_u: float
-
-
-def _tu_axis(w_u: float, points: int) -> np.ndarray:
-    pieces = [
-        np.linspace(0.0, 1.0, points),
-        w_u - np.geomspace(_EXCLUDE_BAND, min(0.25, w_u), 48),
-        w_u + np.geomspace(_EXCLUDE_BAND, min(0.25, 1.0 - w_u), 48),
-        np.asarray([0.0, 1.0]),
-    ]
-    axis = np.unique(np.concatenate(pieces))
-    axis = axis[(axis >= 0.0) & (axis <= 1.0)]
-    return axis[np.abs(axis - w_u) >= _EXCLUDE_BAND]
-
-
-def _tq_axis(w_q: float, points: int) -> np.ndarray:
-    # Geometric coverage of (0, 1] with extra density around w_q, where the
-    # interior stationary point lives, plus the exact boundary point 0.
-    pieces = [
-        np.asarray([0.0]),
-        np.geomspace(1e-12, 1.0, points),
-        w_q * np.geomspace(0.08, 12.5, 49),
-    ]
-    axis = np.unique(np.concatenate(pieces))
-    return axis[(axis >= 0.0) & (axis <= 1.0)]
-
-
-def _grid_minimizer(tq_axis: np.ndarray, tu_axis: np.ndarray, w_q: float, w_u: float):
-    """alpha -> (value, t_q, t_u) of the objective's minimum on the product grid.
-
-    The alpha-independent terms are computed once, _ROW_BLOCK t_u rows at a
-    time, so the grid holds three float64 arrays (slope, g_u and the buffer
-    each call writes F = g_u + alpha * (g_q - g_u) into) and the build's
-    temporaries stay one block in size.  Every term is elementwise, so the
-    values equal a one-shot build's.  Infeasible points get slope 0 and
-    g_u = +inf, so F = +inf there even at alpha = 0.
-    """
-    slope = np.empty((tu_axis.size, tq_axis.size))
-    g_u = np.empty_like(slope)
-    for start in range(0, tu_axis.size, _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        tu_col = tu_axis[rows, None]
-        g_q, g_u[rows] = _gaps(tq_axis, tu_col, w_q, w_u)
-        infeasible = (tq_axis != 0.0) & (tq_axis > tu_col - _EDGE_MARGIN)
-        np.subtract(g_q, g_u[rows], out=slope[rows])
-        slope[rows][infeasible] = 0.0
-        g_u[rows][infeasible] = np.inf
-    values = np.empty_like(slope)
-
-    def grid_min(alpha: float) -> tuple[float, float, float]:
-        np.multiply(slope, alpha, out=values)
-        np.add(values, g_u, out=values)
-        iu, iq = np.unravel_index(int(np.argmin(values)), values.shape)
-        return float(values[iu, iq]), float(tq_axis[iq]), float(tu_axis[iu])
-
-    return grid_min
 
 
 def _xlog1p_scalar(x: float, ref: float, d: float) -> float:
@@ -282,7 +210,7 @@ def _kl_scalar(x: float, ref: float) -> float:
 
 
 def _objective_scalar(t_q: float, t_u: float, w_q: float, w_u: float, alpha: float) -> float:
-    """Pure-scalar objective for the polish loop (feasible interior assumed).
+    """Pure-scalar objective for the side search (feasible point assumed).
 
     The scalar twin of :func:`_gaps`: the same chain-rule split of the
     numerator, with :func:`_kl_scalar` for each divergence.
@@ -400,39 +328,37 @@ def _inner_tq(t_u: float, w_q: float, w_u: float, alpha: float) -> float:
     return math.exp(x)
 
 
-def _polish(w_q: float, w_u: float, alpha: float, value: float, t_q: float, t_u: float):
-    """Polish the grid minimizer: exact inner t_q solve, Brent outer t_u search.
+def _side_minimum(w_q: float, w_u: float, alpha: float, sign: float):
+    """(value, t_q, t_u) of min over t_u of F(_inner_tq(t_u), t_u) on one side of the band.
 
-    Solves the 1-D problem min_u F(_inner_tq(u), u) to 1e-9 relative in t_u
-    (the value is quadratic at the minimum, so that error barely moves it).
-    Stays on the side of the excluded band that the grid phase selected; the
-    window around t_u doubles while the outer minimum pins to one of its
-    edges (within a millionth of its width) that is not also a bound of that
-    side.
+    sign = -1 searches t_u in [0, w_u - band], +1 searches [w_u + band, 1].
+    With d = |t_u - w_u| and far the side's length, one Brent search runs in
+    x = log(d / (far - d)), which resolves the distance to the band and to
+    the far end alike, from the band to _FAR_GAP * far short of the far end.
+    Brent never evaluates the ends, so the far end itself (t_u = 0, where
+    t_q = 0 is forced, or t_u = 1) is tried too; the band's edge is left to
+    _line_limit.
     """
-    side_lo, side_hi = (0.0, w_u - _EXCLUDE_BAND) if t_u < w_u else (w_u + _EXCLUDE_BAND, 1.0)
+    far = w_u if sign < 0 else 1.0 - w_u
+    if far <= _EXCLUDE_BAND:
+        return math.inf, w_q, w_u
+    inner: dict[float, float] = {}
 
-    def outer(u: float) -> float:
-        return _objective_scalar(_inner_tq(u, w_q, w_u, alpha), u, w_q, w_u, alpha)
+    def outer(t_u: float) -> float:
+        t_q = inner[t_u] = _inner_tq(t_u, w_q, w_u, alpha) if t_u > 0.0 else 0.0
+        return _objective_scalar(t_q, t_u, w_q, w_u, alpha)
 
-    best_u = t_u
-    width = 2e-3
-    for _ in range(40):
-        lo = max(best_u - width, side_lo)
-        hi = min(best_u + width, side_hi)
-        if lo >= hi:
-            break
-        x, fx = _brent_min(outer, lo, hi, xtol=1e-9 * hi)
-        if fx < value:
-            value, best_u = fx, x
-        tol = 1e-6 * (hi - lo)
-        if not ((x - lo <= tol and lo > side_lo) or (hi - x <= tol and hi < side_hi)):
-            break
-        width *= 2.0
-    cand_q = _inner_tq(best_u, w_q, w_u, alpha)
-    if _objective_scalar(cand_q, best_u, w_q, w_u, alpha) <= value:
-        t_q, t_u = cand_q, best_u
-    return value, t_q, t_u
+    def t_u_at(x: float) -> float:
+        return w_u + sign * far / (1.0 + math.exp(-x))
+
+    lo = math.log(_EXCLUDE_BAND / (far - _EXCLUDE_BAND))
+    x, value = _brent_min(lambda x: outer(t_u_at(x)), lo, -math.log(_FAR_GAP), _SIDE_XTOL)
+    t_u = t_u_at(x)
+    end = 0.0 if sign < 0 else 1.0
+    end_value = outer(end)
+    if end_value <= value:
+        value, t_u = end_value, end
+    return value, inner[t_u], t_u
 
 
 def _line_limit(w_q: float, w_u: float, alpha: float) -> float:
@@ -448,36 +374,31 @@ def _line_limit(w_q: float, w_u: float, alpha: float) -> float:
     return alpha * (1.0 - alpha) * gap / ((1.0 - alpha) * gap + w_q * (1.0 - w_u))
 
 
-def _infimum(grid_min, w_q: float, w_u: float, alpha: float) -> InfimumResult:
-    """The polished grid minimum, or the line limit where that is lower."""
-    value, t_q, t_u = _polish(w_q, w_u, alpha, *grid_min(alpha))
+def _infimum(w_q: float, w_u: float, alpha: float) -> InfimumResult:
+    """The lower side minimum, or the line limit where that is lower or tied
+    (within _TIE_RTOL).  At alpha 0 or 1 the limit is 0, and F >= 0, so it
+    is the infimum without a search."""
     limit = _line_limit(w_q, w_u, alpha)
-    if limit < value:
+    if limit == 0.0:
+        return InfimumResult(limit, w_q, w_u)
+    value, t_q, t_u = min(_side_minimum(w_q, w_u, alpha, -1.0), _side_minimum(w_q, w_u, alpha, 1.0))
+    if limit <= value * (1.0 + _TIE_RTOL):
         return InfimumResult(limit, w_q, w_u)
     return InfimumResult(value, t_q, t_u)
 
 
-def minimize_objective(
-    w_q: float,
-    w_u: float,
-    alpha: float,
-    opts: SearchOptions | None = None,
-) -> InfimumResult:
+def minimize_objective(w_q: float, w_u: float, alpha: float) -> InfimumResult:
     """Global minimum of the objective over {0 <= t_q <= t_u <= 1, t_u != w_u}.
 
-    Coarse product grid (log-spaced in t_q, dense near t_q ~ w_q and near the
-    excluded band in t_u), then the exact 1-D polish from the grid argmin, or
-    the limit along the excluded line (_line_limit) where that is lower.
+    The exact inner minimum over t_q (_inner_tq) at each t_u, minimized over
+    t_u on each side of the excluded band (_side_minimum), or the limit along
+    the excluded line (_line_limit) where that is lower.
     """
     if not 0.0 < w_q < w_u < 1.0:
         raise ValueError("parameters must satisfy 0 < w_q < w_u < 1")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    opts = opts or SearchOptions()
-
-    tq_axis = _tq_axis(w_q, opts.tq_points)
-    grid_min = _grid_minimizer(tq_axis, _tu_axis(w_u, opts.tu_points), w_q, w_u)
-    return _infimum(grid_min, w_q, w_u, alpha)
+    return _infimum(w_q, w_u, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -490,21 +411,22 @@ def _check_rho_u(rho_u: float) -> None:
         raise ValueError(f"space exponent rho_u must be finite and nonnegative (got {rho_u!r})")
 
 
+# alpha_boundary needs the bound at alpha = 0.01 above every other alpha's by
+# more than this, relative: at rho_u = 0 the bound is often flat there, and
+# its last bits decided the flag.
+_FLAT_RTOL = 1e-9
+
+
 @dataclass(frozen=True)
 class LowerBoundResult:
     rho_q: float
     alpha: float
-    alpha_boundary: bool  # maximizer at the smallest alpha searched, 0.01
+    alpha_boundary: bool  # peak at the smallest alpha searched, 0.01 (see _FLAT_RTOL)
     clamped: bool  # raw bound fell outside [0, 1]
     infimum: InfimumResult
 
 
-def query_exponent_lower_bound(
-    w_q: float,
-    w_u: float,
-    rho_u: float,
-    opts: SearchOptions | None = None,
-) -> LowerBoundResult:
+def query_exponent_lower_bound(w_q: float, w_u: float, rho_u: float) -> LowerBoundResult:
     """Best achievable bound rho_q >= max_alpha (inf F(alpha) - (1-alpha) rho_u)/alpha.
 
     inf F is an infimum of functions affine in alpha, so it is concave, and
@@ -517,17 +439,13 @@ def query_exponent_lower_bound(
     _check_rho_u(rho_u)
     if not 0.0 < w_q < w_u < 1.0:
         raise ValueError("parameters must satisfy 0 < w_q < w_u < 1")
-    opts = opts or SearchOptions()
-
-    tq_axis = _tq_axis(w_q, opts.tq_points)
-    grid_min = _grid_minimizer(tq_axis, _tu_axis(w_u, opts.tu_points), w_q, w_u)
     solves: dict[float, InfimumResult] = {}
 
     def bound(alpha: float) -> float:
         return (solves[alpha].value - (1.0 - alpha) * rho_u) / alpha
 
     def negated_bound(alpha: float) -> float:
-        solves[alpha] = _infimum(grid_min, w_q, w_u, alpha)
+        solves[alpha] = _infimum(w_q, w_u, alpha)
         return -bound(alpha)
 
     lo, hi = 0.01, 1.0
@@ -536,9 +454,11 @@ def query_exponent_lower_bound(
     _brent_min(negated_bound, lo, hi, xtol=1e-6)
     best_alpha = max(solves, key=bound)
     raw = bound(best_alpha)
+    others = max(bound(alpha) for alpha in solves if alpha != lo)
+    at_boundary = bound(lo) - others > _FLAT_RTOL * abs(raw)
     clamped = not 0.0 <= raw <= 1.0
     rho_q = min(1.0, max(0.0, raw))
-    return LowerBoundResult(rho_q, best_alpha, best_alpha == lo, clamped, solves[best_alpha])
+    return LowerBoundResult(rho_q, best_alpha, at_boundary, clamped, solves[best_alpha])
 
 
 # ---------------------------------------------------------------------------
@@ -640,12 +560,12 @@ def tradeoff_rows(
     w_u: float = 0.5,
     curves=DEFAULT_CURVES,
     prior_constant: float | None = None,
-    opts: SearchOptions | None = None,
 ) -> list[TradeoffPoint]:
     """One row per (sample ratio, curve); query densities follow the reduction map.
 
-    numeric-lop rows come from query_exponent_lower_bound with ``opts``, flagged
-    alpha-boundary when its peak is at the smallest alpha searched, 0.01.
+    numeric-lop rows come from query_exponent_lower_bound, flagged
+    alpha-boundary when its peak is at the smallest alpha searched, 0.01, and
+    not flat there (see _FLAT_RTOL).
     The prior-general curve (1 - const * eps^2 / s) needs its leading
     constant supplied explicitly; only an asymptotic order is published for
     it, so no default is invented here.
@@ -667,7 +587,7 @@ def tradeoff_rows(
         for curve in curves:
             flags: list[str] = []
             if curve == "numeric-lop":
-                res = query_exponent_lower_bound(w_q, w_u, rho_u, opts=opts)
+                res = query_exponent_lower_bound(w_q, w_u, rho_u)
                 rho_q = res.rho_q
                 if res.alpha_boundary:
                     flags.append("alpha-boundary")

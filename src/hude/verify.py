@@ -259,15 +259,17 @@ def _check_kl_nonnegative() -> str | None:
     return None
 
 
-def _check_densification_stable() -> str | None:
+def _check_below_profile_scan() -> str | None:
+    # The exact profile min over t_q of F at 2,001 values of t_u, less t_u = w_u.
     w_q = instances.required_w_q(0.5, 100.0)
     alpha = 1.0 + 1.0 / math.log(w_q)
-    a = tradeoff.minimize_objective(w_q, 0.5, alpha)
-    b = tradeoff.minimize_objective(
-        w_q, 0.5, alpha, tradeoff.SearchOptions(tu_points=801, tq_points=481)
-    )
-    if abs(a.value - b.value) > 1e-5:
-        return f"infimum moved {abs(a.value - b.value):.2e} under densification"
+    got = tradeoff.minimize_objective(w_q, 0.5, alpha).value
+    t_u = np.linspace(0.0, 1.0, 2001)
+    t_u = t_u[t_u != 0.5]
+    t_q = [tradeoff._inner_tq(u, w_q, 0.5, alpha) for u in t_u.tolist()]
+    scan = float(tradeoff.objective_from_divergences(np.asarray(t_q), t_u, w_q, 0.5, alpha).min())
+    if got > scan * (1.0 + 1e-12):
+        return f"infimum {got!r} above the t_u scan's minimum {scan!r}"
     return None
 
 
@@ -317,7 +319,7 @@ SUITES = {
         "entropy-bounds": _check_entropy_bounds,
         "objective-two-codings": _check_objective_codings,
         "kl-nonnegative": _check_kl_nonnegative,
-        "densification-stable": _check_densification_stable,
+        "below-profile-scan": _check_below_profile_scan,
         "upper-bound-direction": _check_upper_direction,
     },
     "bench": {

@@ -420,7 +420,6 @@ class TestTradeoff:
         out = tmp_path / "curves.csv"
         rc = main([
             "tradeoff", "--rho-u", "0.5", "--s-grid", "20:80:log3",
-            "--tu-points", "151", "--tq-points", "91",
             "--out", str(out),
         ])
         assert rc == 0
@@ -434,32 +433,6 @@ class TestTradeoff:
             "--curves", "prior-general", "--out", str(tmp_path / "x.csv"),
         ])
         assert rc == 1
-
-    @pytest.mark.parametrize(
-        "flag, value, message",
-        [
-            ("--tu-points", "1", "grid sizes must be at least 2"),
-            ("--tq-points", "0", "grid sizes must be at least 2"),
-            ("--tu-points", "100000000", "tu_points * tq_points must be at most 1,000,000"),
-        ],
-    )
-    def test_degenerate_search_flags_fail(self, tmp_path, capsys, flag, value, message):
-        out = tmp_path / "x.csv"
-        rc = main(["tradeoff", "--rho-u", "0.5", "--s-grid", "20:40:lin2",
-                   flag, value, "--out", str(out)])
-        assert rc == 1
-        assert message in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_search_flag_help_states_the_caps(self, capsys):
-        from hude.tradeoff import _MAX_GRID_POINTS
-
-        with pytest.raises(SystemExit):
-            main(["tradeoff", "--help"])
-        text = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
-        grid_cap = (f"--tu-points times --tq-points is at most {_MAX_GRID_POINTS:,}; "
-                    "the solver's grid takes 24 bytes a point")
-        assert text.count(grid_cap) == 2  # in --tu-points' and --tq-points' help
 
     @pytest.mark.parametrize("spec", ["oops", "20:40:log0", "20:40:lin-1", "20:40:geo5"])
     def test_bad_grid_spec_is_usage_error(self, tmp_path, spec):
@@ -660,8 +633,7 @@ class TestFloatFlagFuzz:
     in what is written."""
 
     VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-320", "1e308"]
-    TRADEOFF = ["tradeoff", "--rho-u", "0.5", "--s-grid", "20:40:lin2", "--tu-points", "41",
-                "--tq-points", "31", "--prior-constant", "1",
+    TRADEOFF = ["tradeoff", "--rho-u", "0.5", "--s-grid", "20:40:lin2", "--prior-constant", "1",
                 "--curves", "numeric-lop,analytic-lower,explicit-gapss,upper-half-uniform,"
                 "upper-simplified,prior-general"]
     BENCH = ["bench", "--sweep", "k", "--values", "100", "--queries", "3", "--L-cap", "1000"]

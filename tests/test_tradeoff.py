@@ -3,7 +3,6 @@
 import decimal
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from hude.distributions import read_rows, write_rows
 from hude.instances import required_w_q
 from hude.tradeoff import (
     InfimumResult,
-    SearchOptions,
     TradeoffPoint,
     analytic_lower_bound,
     coupling_kl,
@@ -120,8 +118,8 @@ class TestObjective:
         assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))))
 
     def test_internal_evaluation_matches_public_codings(self):
-        # The polish's scalar coding must agree with the grid's vectorized
-        # one, which the public objective reads, away from the removed line.
+        # The solver's scalar coding must agree with the vectorized one,
+        # which the public objective reads, away from the removed line.
         from hude.tradeoff import _objective_scalar
 
         rng = np.random.default_rng(12)
@@ -193,15 +191,6 @@ class TestMinimizeObjective:
             assert 0.0 < result.t_q < result.t_u
             slope = _tq_slope(result.t_q, result.t_u, w_q, 0.5, alpha)
             assert abs(slope) <= 1e-4
-
-    def test_stable_under_grid_refinement(self):
-        w_q = required_w_q(0.5, 100.0)
-        alpha = 1.0 + 1.0 / math.log(w_q)
-        coarse = minimize_objective(w_q, 0.5, alpha)
-        dense = minimize_objective(
-            w_q, 0.5, alpha, SearchOptions(tu_points=801, tq_points=481)
-        )
-        assert abs(coarse.value - dense.value) < 1e-5
 
     def test_nonnegative_infimum(self):
         # The numerator is a mix of conditional divergences, so the
@@ -341,10 +330,8 @@ class TestSolverPrecision:
 class TestQueryExponentBound:
     def test_nonincreasing_in_space_exponent(self):
         w_q = required_w_q(0.5, 50.0)
-        opts = SearchOptions(tu_points=201, tq_points=121)
         values = [
-            query_exponent_lower_bound(w_q, 0.5, rho_u, opts=opts).rho_q
-            for rho_u in (0.0, 0.25, 0.5, 1.0)
+            query_exponent_lower_bound(w_q, 0.5, rho_u).rho_q for rho_u in (0.0, 0.25, 0.5, 1.0)
         ]
         assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
 
@@ -352,9 +339,8 @@ class TestQueryExponentBound:
         # With no space term the bound is max over alpha of inf/alpha, which
         # upper-bounds every (inf - (1-alpha) rho)/alpha value.
         w_q = required_w_q(0.5, 50.0)
-        opts = SearchOptions(tu_points=201, tq_points=121)
-        zero = query_exponent_lower_bound(w_q, 0.5, 0.0, opts=opts)
-        half = query_exponent_lower_bound(w_q, 0.5, 0.5, opts=opts)
+        zero = query_exponent_lower_bound(w_q, 0.5, 0.0)
+        half = query_exponent_lower_bound(w_q, 0.5, 0.5)
         assert zero.rho_q >= half.rho_q
 
     def test_sits_between_closed_form_curves(self):
@@ -374,9 +360,24 @@ class TestQueryExponentBound:
         # The alpha search keeps each alpha's solve and reports the winner's;
         # it must be the standalone solve's.
         w_q = required_w_q(0.5, s)
-        opts = SearchOptions(tu_points=201, tq_points=121)
-        result = query_exponent_lower_bound(w_q, 0.5, rho_u, opts=opts)
-        assert result.infimum == minimize_objective(w_q, 0.5, result.alpha, opts)
+        result = query_exponent_lower_bound(w_q, 0.5, rho_u)
+        assert result.infimum == minimize_objective(w_q, 0.5, result.alpha)
+
+    @pytest.mark.parametrize("w_u, s_index", [(0.5, 7), (0.3, 4), (0.55, 4)])
+    def test_flat_bound_is_not_an_alpha_boundary(self, w_u, s_index):
+        # At rho_u = 0 the infimum here sits at the t_u = 0 corner, where F is
+        # linear in alpha, so the bound is flat from alpha = 0.01 on; its last
+        # bits flagged s = 27,204 at w_u = 1/2 and not s = 547.7 at w_u = 0.3,
+        # and without a tolerance they flag s = 547.7 at w_u = 0.55.
+        s = float(np.geomspace(3.0, 1e5, 9)[s_index])
+        (row,) = tradeoff_rows(0.0, [s], w_u=w_u, curves=("numeric-lop",))
+        assert row.flags == ""
+
+    def test_falling_bound_is_an_alpha_boundary(self):
+        # At w_u = 0.05 the bound falls by 2.3e-5 relative from alpha = 0.01
+        # to 0.0105, so its peak lies below the range searched.
+        bound = query_exponent_lower_bound(0.025, 0.05, 0.0)
+        assert bound.alpha == 0.01 and bound.alpha_boundary
 
     def test_not_below_exact_solves_near_the_peak(self):
         # Here the peak is at alpha = 0.840 (bound 0.0178548 at 0.84), between
@@ -416,9 +417,8 @@ class TestPinnedCurve:
             1.0: 0.5950571273169263,
         }
         w_q = required_w_q(0.5, 50.0)
-        opts = SearchOptions(tu_points=201, tq_points=121)
         for rho_u, expected in recorded.items():
-            got = query_exponent_lower_bound(w_q, 0.5, rho_u, opts=opts)
+            got = query_exponent_lower_bound(w_q, 0.5, rho_u)
             assert got.rho_q == pytest.approx(expected, abs=1e-8), f"rho_u={rho_u}"
 
 
@@ -502,6 +502,19 @@ class TestInfimumOracle:
         got = minimize_objective(w_q, 0.5, alpha).value
         assert got <= _dense_outer_scan(w_q, 0.5, alpha)[0] + 1e-10
 
+    def test_reaches_the_t_u_one_corner(self):
+        # The minimum over t_u is at t_u = 1, which a search inside an
+        # interval only approaches: one that stopped at t_u = 0.99999999906
+        # reported 0.31278502442.
+        from hude.tradeoff import _inner_tq
+
+        w_q, w_u, alpha = required_w_q(0.7, 1e5), 0.7, 0.99
+        t_q = _inner_tq(1.0, w_q, w_u, alpha)
+        corner = objective_from_divergences(t_q, 1.0, w_q, w_u, alpha)
+        res = minimize_objective(w_q, w_u, alpha)
+        assert res.value <= corner + 1e-14
+        assert res.t_u == 1.0
+
     def test_inner_root_matches_bisection(self):
         from hude.tradeoff import _inner_tq
 
@@ -518,25 +531,14 @@ class TestInfimumOracle:
         got = [_inner_tq(*point) for point in points]
         assert got == pytest.approx(expected.tolist(), rel=1e-12, abs=0.0)
 
-    def test_polish_from_coarse_point_reaches_scan_plus_golden(self):
-        # Here the golden search lands within about 1e-12 of a window edge
-        # while the true minimum lies outside it; the polish has to notice
-        # and widen the window.
-        from hude.tradeoff import (
-            _grid_minimizer,
-            _inner_tq,
-            _objective_scalar,
-            _polish,
-            _tq_axis,
-            _tu_axis,
-        )
+    def test_minimum_reaches_scan_plus_golden(self):
+        # A windowed search from a coarse-grid point once landed within about
+        # 1e-12 of its window's edge here, while the true minimum lay outside.
+        from hude.tradeoff import _inner_tq, _objective_scalar
 
         w_q, w_u, alpha = required_w_q(0.5, 20.0), 0.5, 0.722491
-        opts = SearchOptions()
-        coarse = _grid_minimizer(
-            _tq_axis(w_q, opts.tq_points), _tu_axis(w_u, opts.tu_points), w_q, w_u
-        )
-        value, _, t_u = _polish(w_q, w_u, alpha, *coarse(alpha))
+        res = minimize_objective(w_q, w_u, alpha)
+        value, t_u = res.value, res.t_u
 
         def outer(u):
             return _objective_scalar(_inner_tq(u, w_q, w_u, alpha), u, w_q, w_u, alpha)
@@ -545,88 +547,6 @@ class TestInfimumOracle:
         _, reference = _golden_min(outer, u_scan - 1e-4, u_scan + 1e-4)
         assert abs(value - reference) <= 1e-12
         assert t_u == pytest.approx(0.887873, abs=1e-6)
-
-
-class TestSearchSizeCaps:
-    def test_grid_product_cap(self):
-        assert SearchOptions(tu_points=4149, tq_points=241)  # 999,909 grid points
-        with pytest.raises(ValueError, match=r"tu_points \* tq_points must be at most 1,000,000"):
-            SearchOptions(tu_points=1000, tq_points=1001)
-
-    def test_grid_peak_memory_at_the_cap(self):
-        # The 4,240 x 291 grid is three float64 arrays (29.6 MB) plus one
-        # row block of build temporaries; built in one shot it peaked at
-        # 76.6 MiB under tracemalloc.
-        opts = SearchOptions(tu_points=4149, tq_points=241)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            minimize_objective(required_w_q(0.5, 447.2), 0.5, 0.7, opts)
-            assert tracemalloc.get_traced_memory()[1] - base < 40 * 2**20
-        finally:
-            tracemalloc.stop()
-
-
-class TestGridBuild:
-    """`_grid_minimizer` against a one-shot build of the whole grid.
-
-    The grid's terms are elementwise, so however the build is split into
-    t_u rows, each grid minimum must be the one-shot build's float for float.
-    """
-
-    ALPHAS = (0.0, 0.01, 0.5, 0.97, 1.0)
-
-    @staticmethod
-    def one_shot(tq_axis, tu_axis, w_q, w_u, alpha):
-        """((value, t_q, t_u), argmin row) from the full grid built at once."""
-        from hude.tradeoff import _EDGE_MARGIN, _gaps
-
-        tu_col = tu_axis[:, None]
-        tq_row = tq_axis[None, :]
-        g_q, g_u = _gaps(tq_row, tu_col, w_q, w_u)
-        infeasible = (tq_row != 0.0) & (tq_row > tu_col - _EDGE_MARGIN)
-        slope = g_q - g_u
-        slope[infeasible] = 0.0
-        g_u[infeasible] = np.inf
-        values = slope * alpha + g_u
-        iu, iq = np.unravel_index(int(np.argmin(values)), values.shape)
-        return (float(values[iu, iq]), float(tq_axis[iq]), float(tu_axis[iu])), int(iu)
-
-    @staticmethod
-    def picks(axis, count):
-        return axis[np.linspace(0, axis.size - 1, count).round().astype(int)]
-
-    def check(self, tu_axis, s, alphas=ALPHAS):
-        """Compare every alpha; return the one-shot argmin row of each."""
-        from hude.tradeoff import _grid_minimizer, _tq_axis
-
-        w_q = required_w_q(0.5, s)
-        tq_axis = _tq_axis(w_q, 241)
-        grid_min = _grid_minimizer(tq_axis, tu_axis, w_q, 0.5)
-        rows = []
-        for alpha in alphas:
-            expected, row = self.one_shot(tq_axis, tu_axis, w_q, 0.5, alpha)
-            assert grid_min(alpha) == expected, (s, tu_axis.size, alpha)
-            rows.append(row)
-        return rows
-
-    @pytest.mark.parametrize("s", [20.0, 447.2])
-    @pytest.mark.parametrize("length", [31, 32, 33, 65])
-    def test_matches_one_shot_build(self, s, length):
-        from hude.tradeoff import _tu_axis
-
-        self.check(self.picks(_tu_axis(0.5, 401), length), s)
-
-    @pytest.mark.parametrize("s", [20.0, 447.2, 10_000.0])
-    def test_argmin_in_first_and_last_row_block(self, s):
-        # 33 rows below t_u = 0.75: at alpha 0 the minimum is 0 at (0, 0),
-        # row 0; at 0.97 the objective still falls at the cut, so the
-        # minimum is in the last row, alone in the second block of 32.
-        from hude.tradeoff import _ROW_BLOCK, _tu_axis
-
-        full = _tu_axis(0.5, 401)
-        first, last = self.check(self.picks(full[full < 0.75], 33), s, alphas=(0.0, 0.97))
-        assert first < _ROW_BLOCK and last == _ROW_BLOCK
 
 
 class TestSearchBudget:
@@ -742,8 +662,7 @@ class TestEntropyGap:
 
 class TestCurveEmission:
     def test_rows_within_unit_interval(self):
-        opts = SearchOptions(tu_points=201, tq_points=121)
-        rows = tradeoff_rows(0.5, [20.0, 100.0], opts=opts)
+        rows = tradeoff_rows(0.5, [20.0, 100.0])
         assert len(rows) == 8
         for row in rows:
             assert 0.0 <= row.rho_q <= 1.0
@@ -751,13 +670,11 @@ class TestCurveEmission:
             assert row.w_q == pytest.approx(required_w_q(0.5, row.s))
 
     def test_csv_round_trip(self, tmp_path):
-        opts = SearchOptions(tu_points=201, tq_points=121)
         rows = tradeoff_rows(
             0.5,
             [30.0],
             curves=("analytic-lower", "upper-half-uniform", "prior-general"),
             prior_constant=1.0,
-            opts=opts,
         )
         path = tmp_path / "curves.csv"
         write_rows(rows, path)
