@@ -434,6 +434,18 @@ class TestTradeoff:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("flag", ["--tu-points", "--tq-points", "--alpha-points"])
+    def test_removed_search_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        # The solver has no grid or alpha-grid size left to set; a script that
+        # still passes one must fail rather than have it ignored.
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["tradeoff", "--rho-u", "0.5", "--s-grid", "20:40:lin2",
+                  flag, "41", "--out", str(out)])
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec", ["oops", "20:40:log0", "20:40:lin-1", "20:40:geo5"])
     def test_bad_grid_spec_is_usage_error(self, tmp_path, spec):
         with pytest.raises(SystemExit) as err:

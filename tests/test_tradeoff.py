@@ -3,6 +3,7 @@
 import decimal
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,16 @@ class TestMinimizeObjective:
             assert 0.0 < result.t_q < result.t_u
             slope = _tq_slope(result.t_q, result.t_u, w_q, 0.5, alpha)
             assert abs(slope) <= 1e-4
+
+    def test_stable_under_tighter_side_search(self, monkeypatch):
+        import hude.tradeoff as tradeoff
+
+        w_q = required_w_q(0.5, 100.0)
+        alpha = 1.0 + 1.0 / math.log(w_q)
+        default = minimize_objective(w_q, 0.5, alpha)
+        monkeypatch.setattr(tradeoff, "_SIDE_XTOL", 1e-9)
+        tight = minimize_objective(w_q, 0.5, alpha)
+        assert default.value == pytest.approx(tight.value, rel=1e-12, abs=0.0)
 
     def test_nonnegative_infimum(self):
         # The numerator is a mix of conditional divergences, so the
@@ -547,6 +558,83 @@ class TestInfimumOracle:
         _, reference = _golden_min(outer, u_scan - 1e-4, u_scan + 1e-4)
         assert abs(value - reference) <= 1e-12
         assert t_u == pytest.approx(0.887873, abs=1e-6)
+
+
+class TestSideSearch:
+    """`_side_minimum`, one side of the band t_u = w_u at a time."""
+
+    @staticmethod
+    def side_scan(w_q, w_u, alpha, sign):
+        """Min of the exact t_u profile over a dense scan of one side, ends included,
+        with geometric points toward the band and toward t_u = 1."""
+        from hude.tradeoff import _EXCLUDE_BAND, _inner_tq, _objective_scalar
+
+        if sign < 0:
+            t_u = np.concatenate([
+                np.linspace(0.0, w_u - _EXCLUDE_BAND, 2001),
+                w_u - np.geomspace(_EXCLUDE_BAND, w_u, 200),
+            ])
+        else:
+            t_u = np.concatenate([
+                np.linspace(w_u + _EXCLUDE_BAND, 1.0, 2001),
+                w_u + np.geomspace(_EXCLUDE_BAND, 1.0 - w_u, 200),
+                1.0 - np.geomspace(1e-12, 1e-2, 200),
+            ])
+        return min(
+            _objective_scalar(_inner_tq(u, w_q, w_u, alpha) if u > 0.0 else 0.0,
+                              u, w_q, w_u, alpha)
+            for u in np.clip(t_u, 0.0, 1.0).tolist()
+        )
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.9])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    @pytest.mark.parametrize("s", [20.0, 447.2])
+    def test_not_above_dense_side_scan(self, s, sign, alpha):
+        # Where the minimum sits at the band's edge, which the search stops
+        # within _SIDE_XTOL of in its variable, it was 1.2e-9 relative above
+        # the scan's (s = 20, lower side, alpha = 0.9).
+        from hude.tradeoff import _side_minimum
+
+        w_q = required_w_q(0.5, s)
+        value, _, _ = _side_minimum(w_q, 0.5, alpha, sign)
+        assert value <= self.side_scan(w_q, 0.5, alpha, sign) * (1.0 + 1e-8)
+
+    @pytest.mark.parametrize("s", [20.0, 447.2, 10_000.0])
+    def test_reports_its_own_point(self, s):
+        # On each side, the value is the objective at the reported t_u and its
+        # exact inner t_q, and t_u lies on that side of the band.
+        from hude.tradeoff import _EXCLUDE_BAND, _inner_tq, _objective_scalar, _side_minimum
+
+        w_q = required_w_q(0.5, s)
+        for alpha in (0.5, 0.97):
+            for sign in (-1.0, 1.0):
+                value, t_q, t_u = _side_minimum(w_q, 0.5, alpha, sign)
+                assert sign * (t_u - 0.5) >= _EXCLUDE_BAND and 0.0 <= t_u <= 1.0
+                assert t_q == (_inner_tq(t_u, w_q, 0.5, alpha) if t_u > 0.0 else 0.0)
+                assert value == _objective_scalar(t_q, t_u, w_q, 0.5, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_alpha_end_is_the_line_limit_without_a_search(self, alpha, monkeypatch):
+        # The line limit is 0 at alpha 0 or 1, and F >= 0.
+        import hude.tradeoff as tradeoff
+
+        def no_search(*args):
+            raise AssertionError("side search run")
+
+        monkeypatch.setattr(tradeoff, "_side_minimum", no_search)
+        w_q = required_w_q(0.5, 447.2)
+        assert minimize_objective(w_q, 0.5, alpha) == InfimumResult(0.0, w_q, 0.5)
+
+    def test_peak_memory_of_a_solve(self):
+        # The search holds scalars only: 2.4 KiB under tracemalloc, where the
+        # (t_q, t_u) grid it replaced peaked at 3.5 MiB.
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            minimize_objective(required_w_q(0.5, 447.2), 0.5, 0.7)
+            assert tracemalloc.get_traced_memory()[1] - base < 64 * 2**10
+        finally:
+            tracemalloc.stop()
 
 
 class TestSearchBudget:

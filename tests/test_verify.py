@@ -20,3 +20,24 @@ def test_unknown_suite_rejected():
 def test_single_suite_subset():
     results = run_suite("distributions")
     assert {name for name, _, _ in results} == set(SUITES["distributions"])
+
+
+@pytest.mark.parametrize("mutation", ["coarse-search", "lower-side-only"])
+def test_below_profile_scan_catches_a_weakened_solver(mutation, monkeypatch):
+    # The check must fail a solver that stops early or searches one side of
+    # the band only; both leave the infimum above the t_u scan's minimum.
+    import math
+
+    import hude.tradeoff as tradeoff
+
+    if mutation == "coarse-search":
+        monkeypatch.setattr(tradeoff, "_SIDE_XTOL", 0.3)
+    else:
+        side = tradeoff._side_minimum
+
+        def lower_only(w_q, w_u, alpha, sign):
+            return side(w_q, w_u, alpha, sign) if sign < 0 else (math.inf, w_q, w_u)
+
+        monkeypatch.setattr(tradeoff, "_side_minimum", lower_only)
+    detail = SUITES["tradeoff"]["below-profile-scan"]()
+    assert detail is not None and "above the t_u scan's minimum" in detail
