@@ -100,60 +100,41 @@ class GapssInstance(_OnDataset):
 
 _KNUTH_CHUNK = 8.0  # product method stays exact; additivity handles large rates
 # Largest rate :func:`poisson` accepts: its cost grows linearly with the rate
-# (about 0.8 s at this cap), so an unbounded rate would never return.
+# (about 0.1 s a draw at this cap), so an unbounded rate would never return.
 _MAX_POISSON_RATE = 1e6
 # Below this rate a zero-truncated draw walks the truncated pmf: rejection
 # would discard almost every Poisson draw.
 _INVERSE_CDF_RATE = 0.01
+_COUNT_BUFFER = 256  # uniforms fetched per refill in poisson
 
 
-def _poisson_knuth(lam: float, rng: np.random.Generator) -> int:
-    threshold = math.exp(-lam)
-    count = 0
-    running = 1.0
-    while True:
-        running *= rng.random()
-        if running <= threshold:
-            return count
-        count += 1
+def poisson(
+    lam: float, size: int, rng: np.random.Generator, *, truncated: bool = False
+) -> np.ndarray:
+    """``size`` exact Poisson(lam) draws, or zero-truncated ones if ``truncated``.
 
-
-def poisson(lam: float, rng: np.random.Generator) -> int:
-    """Exact Poisson draw via Knuth's product method (chunked for large rates).
-
-    The rate must lie in (0, 1e6]: see _MAX_POISSON_RATE.
-    """
-    if not 0 < lam <= _MAX_POISSON_RATE:
-        raise ValueError(
-            f"rate must be positive and at most {_MAX_POISSON_RATE:g} (got {lam!r})"
-        )
-    total = 0
-    while lam > _KNUTH_CHUNK:
-        total += _poisson_knuth(_KNUTH_CHUNK, rng)
-        lam -= _KNUTH_CHUNK
-    return total + _poisson_knuth(lam, rng)
-
-
-_COUNT_BUFFER = 256  # uniforms fetched per refill in _truncated_counts
-
-
-def _truncated_counts(lam: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    """``size`` zero-truncated Poisson(lam) draws: below _INVERSE_CDF_RATE by
-    the truncated pmf's inverse CDF, from it up by :func:`poisson`'s Knuth
-    chunks, redrawn while zero.  The uniforms come from
-    ``rng.random(_COUNT_BUFFER)`` blocks (``random(m)`` gives the doubles of
-    m scalar calls), so the counts are those of one draw at a time.  Up to one
-    block more of the stream is drawn, so ``rng`` must not be used afterwards.
+    Knuth's product method, one product threshold per chunk of the rate
+    (``_KNUTH_CHUNK``), redrawn while zero when truncated; a truncated draw
+    below _INVERSE_CDF_RATE walks the truncated pmf's inverse CDF instead.
+    The uniforms come from ``rng.random(_COUNT_BUFFER)`` blocks (``random(m)``
+    gives the doubles of m scalar calls) and are read strictly in order, so
+    the counts are those of one draw at a time.  Up to one block more of the
+    stream is drawn, so ``rng`` must not be used afterwards.  The rate must
+    lie in (0, 1e6]: see _MAX_POISSON_RATE.
     """
     counts = np.empty(size, dtype=np.int64)
     if size == 0:
         return counts
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"rate must be finite and positive (got {lam!r})")
+    if lam > _MAX_POISSON_RATE:
+        raise ValueError(
+            f"rate must be positive and at most {_MAX_POISSON_RATE:g} (got {lam!r})"
+        )
     uniforms = itertools.chain.from_iterable(
         iter(lambda: rng.random(_COUNT_BUFFER).tolist(), None)
     )
-    if lam < _INVERSE_CDF_RATE:  # one uniform a draw
+    if truncated and lam < _INVERSE_CDF_RATE:  # one uniform a draw
         first = lam * math.exp(-lam) / -math.expm1(-lam)
         for i in range(size):
             u = next(uniforms)
@@ -165,11 +146,6 @@ def _truncated_counts(lam: float, size: int, rng: np.random.Generator) -> np.nda
                 cumulative += pmf
             counts[i] = x
         return counts
-    if lam > _MAX_POISSON_RATE:
-        raise ValueError(
-            f"rate must be positive and at most {_MAX_POISSON_RATE:g} (got {lam!r})"
-        )
-    # poisson's Knuth chunks: one product threshold per chunk of the rate.
     thresholds = []
     while lam > _KNUTH_CHUNK:
         thresholds.append(math.exp(-_KNUTH_CHUNK))
@@ -177,12 +153,14 @@ def _truncated_counts(lam: float, size: int, rng: np.random.Generator) -> np.nda
     thresholds.append(math.exp(-lam))
     for i in range(size):
         value = 0
-        while value == 0:  # reject zero draws
+        while True:
             for threshold in thresholds:
                 running = next(uniforms)
                 while running > threshold:
                     value += 1
                     running *= next(uniforms)
+            if value or not truncated:
+                break
         counts[i] = value
     return counts
 
@@ -279,7 +257,8 @@ def gen_urde(n: int, k: int, w_u: float, s: float, seed: int) -> UrdeInstance:
         columns[support, truth >> 3] |= 0x80 >> (truth & 7)
         dataset = Dataset.from_columns(columns, k)
     card = int(np.count_nonzero(support))
-    total = poisson(card / (s * w_u), substream(seed, "urde-querysize"))
+    # The query size is the only draw on its substream, as poisson requires.
+    (total,) = poisson(card / (s * w_u), 1, substream(seed, "urde-querysize")).tolist()
     query = dataset.distribution(truth).sample(total, substream(seed, "urde-query"))
     return UrdeInstance(dataset, float(w_u), float(s), truth, query, seed, resamples)
 
@@ -328,7 +307,7 @@ def reduce_gapss_to_urde(g: GapssInstance, s: float, seed: int) -> UrdeInstance:
     lam = 1.0 / (s * g.w_u)
     rng_counts = substream(seed, "reduction-counts")
     q_elements = g.query.indices
-    copies = _truncated_counts(lam, q_elements.size, rng_counts)
+    copies = poisson(lam, q_elements.size, rng_counts, truncated=True)
     draws = np.repeat(q_elements, copies)
     if draws.size:
         draws = draws[substream(seed, "reduction-order").permutation(draws.size)]

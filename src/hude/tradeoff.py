@@ -411,9 +411,10 @@ def _check_rho_u(rho_u: float) -> None:
         raise ValueError(f"space exponent rho_u must be finite and nonnegative (got {rho_u!r})")
 
 
-# alpha_boundary needs the bound at alpha = 0.01 above every other alpha's by
-# more than this, relative: at rho_u = 0 the bound is often flat there, and
-# its last bits decided the flag.
+# alpha_boundary needs the bound to fall from alpha = 0.01 to the nearest other
+# alpha solved at a slope that, times 0.01, exceeds this relative to the bound.
+# At rho_u = 0 the bound is often flat there, and its last bits decided the
+# flag; a difference test missed mild peaks, as that alpha is about 1e-6 away.
 _FLAT_RTOL = 1e-9
 
 
@@ -454,8 +455,9 @@ def query_exponent_lower_bound(w_q: float, w_u: float, rho_u: float) -> LowerBou
     _brent_min(negated_bound, lo, hi, xtol=1e-6)
     best_alpha = max(solves, key=bound)
     raw = bound(best_alpha)
-    others = max(bound(alpha) for alpha in solves if alpha != lo)
-    at_boundary = bound(lo) - others > _FLAT_RTOL * abs(raw)
+    nearest = min(alpha for alpha in solves if alpha != lo)
+    fall = (bound(lo) - bound(nearest)) / (nearest - lo) * lo
+    at_boundary = fall > _FLAT_RTOL * abs(raw)
     clamped = not 0.0 <= raw <= 1.0
     rho_q = min(1.0, max(0.0, raw))
     return LowerBoundResult(rho_q, best_alpha, at_boundary, clamped, solves[best_alpha])

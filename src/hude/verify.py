@@ -71,7 +71,7 @@ def _check_dataset_roundtrip() -> str | None:
 
 def _check_poisson_mean() -> str | None:
     rng = substream(12, "verify-poisson")
-    draws = np.asarray([instances.poisson(0.04, rng) for _ in range(100_000)], dtype=float)
+    draws = instances.poisson(0.04, 100_000, rng).astype(float)
     err = abs(draws.mean() - 0.04)
     limit = 3.0 * draws.std(ddof=1) / math.sqrt(draws.size)
     if err > limit:
@@ -80,10 +80,10 @@ def _check_poisson_mean() -> str | None:
 
 
 def _check_poisson_plus_positive() -> str | None:
-    # The reduction's counts; a stream per rate, as _truncated_counts part-uses one.
+    # The reduction's counts; a stream per rate, as poisson part-uses one.
     for i, lam in enumerate((0.004, 0.04, 0.4, 4.0)):
         rng = substream(13, "verify-poisson-plus", i)
-        if instances._truncated_counts(lam, 20_000, rng).min() < 1:
+        if instances.poisson(lam, 20_000, rng, truncated=True).min() < 1:
             return f"zero draw at rate {lam}"
     return None
 

@@ -611,20 +611,16 @@ class TestCapEdges:
                 in capsys.readouterr().err)
         assert not (tmp_path / "b").exists()
 
-    def test_poisson_rate(self, monkeypatch):
+    def test_poisson_rate(self):
         cap = instances._MAX_POISSON_RATE
         above = math.nextafter(cap, math.inf)
         refused = r"at most 1e\+06 \(got 1000000.0000000001\)"
-        # A zero-truncated draw at the cap takes about 0.2 s; a plain one about 1 s.
-        assert _within(lambda: instances._truncated_counts(cap, 1, substream(1, "cap")))[0] > 0
-        with pytest.raises(ValueError, match=refused):
-            _within(lambda: instances._truncated_counts(above, 1, substream(1, "cap")))
-        with monkeypatch.context() as patch:
-            patch.setattr(instances, "_poisson_knuth", _validated)
-            with pytest.raises(_Validated):
-                _within(lambda: instances.poisson(cap, substream(1, "cap")))
-        with pytest.raises(ValueError, match=refused):
-            _within(lambda: instances.poisson(above, substream(1, "cap")))
+        # A draw at the cap takes about 0.1 s, truncated or not.
+        for truncated in (True, False):
+            draw = lambda lam: instances.poisson(lam, 1, substream(1, "cap"), truncated=truncated)
+            assert _within(lambda: draw(cap))[0] > 0
+            with pytest.raises(ValueError, match=refused):
+                _within(lambda: draw(above))
 
     def test_query_samples(self, tmp_path, capsys, monkeypatch):
         # n / s = 10 / 1e-6 = 1e7 draws exactly (160 MB while drawn); then 10,000,001.

@@ -13,6 +13,7 @@ import pytest
 from hude import instances
 from hude.distributions import l1_distance
 from hude.instances import (
+    _COUNT_BUFFER,
     GapssInstance,
     GenerationError,
     gen_gapss,
@@ -28,11 +29,39 @@ from hude.distributions import SupportSet
 from hude.rng import substream
 
 
+def _knuth(lam, rng):
+    threshold = math.exp(-lam)
+    count = 0
+    running = 1.0
+    while True:
+        running *= rng.random()
+        if running <= threshold:
+            return count
+        count += 1
+
+
+def poisson_reference(lam, rng):
+    """Poisson draw by Knuth's product method, one ``rng.random()`` a uniform
+    and chunked for large rates: the reference that instances.poisson's plain
+    draws must match integer for integer."""
+    from hude.instances import _KNUTH_CHUNK, _MAX_POISSON_RATE
+
+    if not 0 < lam <= _MAX_POISSON_RATE:
+        raise ValueError(
+            f"rate must be positive and at most {_MAX_POISSON_RATE:g} (got {lam!r})"
+        )
+    total = 0
+    while lam > _KNUTH_CHUNK:
+        total += _knuth(_KNUTH_CHUNK, rng)
+        lam -= _KNUTH_CHUNK
+    return total + _knuth(lam, rng)
+
+
 def poisson_plus(lam, rng):
     """Zero-truncated Poisson, one draw a call: the reference that
-    instances._truncated_counts must match integer for integer.
+    instances.poisson's truncated draws must match integer for integer.
 
-    Rejection of poisson draws for moderate rates, inverse CDF below.
+    Rejection of poisson_reference draws for moderate rates, inverse CDF below.
     """
     from hude.instances import _INVERSE_CDF_RATE
 
@@ -40,7 +69,7 @@ def poisson_plus(lam, rng):
         raise ValueError(f"rate must be finite and positive (got {lam!r})")
     if lam >= _INVERSE_CDF_RATE:
         while True:
-            value = poisson(lam, rng)
+            value = poisson_reference(lam, rng)
             if value > 0:
                 return value
     u = rng.random()
@@ -188,19 +217,19 @@ class TestGenGapss:
 class TestPoisson:
     def test_mean_small_rate(self):
         rng = substream(9, "poisson-mean")
-        draws = np.array([poisson(0.04, rng) for _ in range(100_000)], dtype=float)
+        draws = poisson(0.04, 100_000, rng).astype(float)
         stderr = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - 0.04) <= 3.0 * stderr
 
     def test_mean_large_rate_chunked(self):
         rng = substream(9, "poisson-large")
-        draws = np.array([poisson(100.0, rng) for _ in range(5000)], dtype=float)
+        draws = poisson(100.0, 5000, rng).astype(float)
         stderr = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - 100.0) <= 3.0 * stderr
 
     def test_rate_validation(self):
         with pytest.raises(ValueError):
-            poisson(0.0, substream(0, "x"))
+            poisson(0.0, 1, substream(0, "x"))
         with pytest.raises(ValueError):
             poisson_plus(-1.0, substream(0, "x"))
 
@@ -215,13 +244,25 @@ class TestPoisson:
         assert abs(ones - expected) <= 3.0 * stderr
 
     def test_truncated_never_zero(self):
-        from hude.instances import _truncated_counts
-
         rng = substream(10, "plus-positive")
         # Inverse-CDF branch gets the long run; the rejection branch a shorter one.
-        assert _truncated_counts(0.004, 1_000_000, rng).min() >= 1
-        assert _truncated_counts(0.4, 20_000, rng).min() >= 1
-        assert _truncated_counts(4.0, 5_000, rng).min() >= 1
+        assert poisson(0.004, 1_000_000, rng, truncated=True).min() >= 1
+        assert poisson(0.4, 20_000, rng, truncated=True).min() >= 1
+        assert poisson(4.0, 5_000, rng, truncated=True).min() >= 1
+
+    # 8.0 is exactly one Knuth chunk; 8.5, 100 and 12,345.6 chain 2, 13 and
+    # 1,544.  Each size spans at least three _COUNT_BUFFER refills.
+    @pytest.mark.parametrize(
+        "lam, size, seeds",
+        [(0.04, 3 * _COUNT_BUFFER + 1, 20), (8.0, 100, 20), (8.5, 100, 20),
+         (100.0, 10, 20), (12_345.6, 1, 5), (1e6, 1, 1)],
+    )
+    def test_same_counts_as_reference(self, lam, size, seeds):
+        for seed in range(seeds):
+            got = poisson(lam, size, substream(seed, "poisson-counts"))
+            assert got.dtype == np.int64
+            rng = substream(seed, "poisson-counts")
+            assert got.tolist() == [poisson_reference(lam, rng) for _ in range(size)], (lam, seed)
 
 
 class TestTruncatedCounts:
@@ -236,31 +277,25 @@ class TestTruncatedCounts:
     # (0.2), and rates that chain two and thirteen Knuth chunks.
     @pytest.mark.parametrize("lam", [0.004, 0.0099, 0.01, 0.2, 2.0, 8.5, 100.0])
     def test_same_counts_as_poisson_plus(self, lam):
-        from hude.instances import _truncated_counts
-
         for seed in range(300):
             size = seed % 40  # a reduced query's element count
-            got = _truncated_counts(lam, size, substream(seed, "reduction-counts"))
+            got = poisson(lam, size, substream(seed, "reduction-counts"), truncated=True)
             assert got.dtype == np.int64
             assert got.tolist() == self.scalar(lam, size, seed), (lam, seed)
 
     @pytest.mark.parametrize("lam", [0.004, 0.2, 20.0])
     def test_long_runs_cross_buffer_refills(self, lam):
-        from hude.instances import _COUNT_BUFFER, _truncated_counts
-
         size = 3 * _COUNT_BUFFER + 1
-        got = _truncated_counts(lam, size, substream(5, "reduction-counts"))
+        got = poisson(lam, size, substream(5, "reduction-counts"), truncated=True)
         assert got.tolist() == self.scalar(lam, size, 5)
 
     def test_rates_rejected_like_poisson_plus(self):
-        from hude.instances import _truncated_counts
-
         for lam in (0.0, -1.0, math.nan, math.inf, 2e6):
             with pytest.raises(ValueError) as expected:
                 poisson_plus(lam, substream(0, "x"))
             with pytest.raises(ValueError, match=re.escape(str(expected.value))):
-                _truncated_counts(lam, 3, substream(0, "x"))
-        assert _truncated_counts(-1.0, 0, substream(0, "x")).size == 0
+                poisson(lam, 3, substream(0, "x"), truncated=True)
+        assert poisson(-1.0, 0, substream(0, "x"), truncated=True).size == 0
 
 
 class TestReduction:

@@ -390,6 +390,13 @@ class TestQueryExponentBound:
         bound = query_exponent_lower_bound(0.025, 0.05, 0.0)
         assert bound.alpha == 0.01 and bound.alpha_boundary
 
+    def test_mildly_falling_bound_is_an_alpha_boundary(self):
+        # Here the bound falls by only 4.7e-7 relative from alpha = 0.01 to
+        # 0.0105, and Brent's nearest alpha is about 5.4e-7 above 0.01: the
+        # bound differs there by far less than 1e-9, but its slope does not.
+        bound = query_exponent_lower_bound(0.05, 0.1, 0.0)
+        assert bound.alpha == 0.01 and bound.alpha_boundary
+
     def test_not_below_exact_solves_near_the_peak(self):
         # Here the peak is at alpha = 0.840 (bound 0.0178548 at 0.84), between
         # points of a 102-alpha grid whose coarse scan picked 0.8515 (0.0175117).
