@@ -41,15 +41,20 @@ def eliminate(
     query: QueryMultiset,
     counter: OpCounter,
 ) -> QueryResult:
-    """Run the elimination pass over distinct dataset indices ``candidates``.
+    """Run the elimination pass over distinct dataset indices ``candidates``
+    (any integer dtype; floats and bools raise ValueError rather than being cast).
 
     Each sample is charged one op per candidate alive before it.  A block
     holds ``alive_count.bit_length() + 4`` samples, so that it usually
     reaches the stop while survivors about halve per sample.
     """
-    candidates = np.asarray(candidates, dtype=np.int64)
+    candidates = np.asarray(candidates)
     if candidates.size == 0:
         raise ValueError("candidate set must be nonempty")
+    if candidates.dtype.kind not in "iu":
+        raise ValueError(
+            f"candidates must be integer dataset indices (got dtype {candidates.dtype})"
+        )
     if candidates.min() < 0 or candidates.max() >= data.k:
         raise ValueError(f"candidate outside the dataset [0, {data.k})")
     columns = data.columns

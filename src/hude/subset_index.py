@@ -69,13 +69,14 @@ def sample_probes(seed: int, count: int, size: int, n: int) -> np.ndarray:
 
     Row i is a pure function of (seed, i) — Floyd's sampling driven by a
     per-probe splitmix64 key — so the result is independent of how probes
-    might be partitioned across workers.
+    might be partitioned across workers.  The matrix is column-major, so
+    that each probe position is one contiguous column.
     """
     if size > n:
         raise ValueError("probe size cannot exceed the domain size")
     base = np.uint64(stream_key(seed, "probes"))
     keys = mix64(base + np.arange(count, dtype=np.uint64))
-    selected = np.empty((count, size), dtype=np.int64)
+    selected = np.empty((count, size), dtype=np.int64, order="F")
     for r in range(size):
         j = n - size + r
         draw = (keyed_uniform(keys, r) * (j + 1)).astype(np.int64)
@@ -171,6 +172,18 @@ def _certify_candidate(
     return True
 
 
+def _scan_cost(prefixes: list[np.ndarray], a: int, b: int) -> int:
+    """Membership tests of a block's probes a..b-1, from their prefix masks.
+
+    Probe elements are tested left to right and a probe's test stops at its
+    first element outside the sample set, so a probe costs 1 + [e1 in Q] +
+    [e1 in Q][e2 in Q] + ... tests, and a probe without elements none.
+    """
+    if not prefixes:
+        return 0
+    return (b - a) + sum(int(np.count_nonzero(prefix[a:b])) for prefix in prefixes[:-1])
+
+
 def query(
     index: SubsetIndex,
     q: QueryMultiset,
@@ -197,19 +210,17 @@ def query(
     pool = q.distinct.indices
     member = q.distinct.bits
     probes = index.probes
-    for start in range(0, probes.shape[0], _PROBE_BLOCK):
-        # Probe elements are tested left to right and a probe's test stops at
-        # its first element outside the sample set, so probe i costs
-        # 1 + [e1 in Q] + [e1 in Q][e2 in Q] + ... membership tests.
-        block = member[probes[start : start + _PROBE_BLOCK]]
-        tests = np.zeros(block.shape[0], dtype=np.int64)
-        hits = np.ones(block.shape[0], dtype=bool)
-        for column in block.T:
-            tests += hits
-            hits &= column
+    num_probes, ell = probes.shape
+    for start in range(0, num_probes, _PROBE_BLOCK):
+        stop = min(start + _PROBE_BLOCK, num_probes)
+        # prefixes[j][i]: the first j + 1 elements of probe start + i are all in Q.
+        prefixes = [member[probes[start:stop, 0]]] if ell else []
+        for j in range(1, ell):
+            prefixes.append(prefixes[-1] & member[probes[start:stop, j]])
+        hits = prefixes[-1] if ell else np.ones(stop - start, dtype=bool)
         charged = 0
         for i in np.flatnonzero(hits).tolist():
-            counter.add(int(tests[charged : i + 1].sum()))
+            counter.add(_scan_cost(prefixes, charged, i + 1))
             charged = i + 1
             bucket = index.bucket(start + i)
             if bucket.size == 0:
@@ -222,7 +233,7 @@ def query(
                 for j in bucket.tolist():
                     if _certify_candidate(data, j, pool, cap, counter, rng):
                         return QueryResult("found", j)
-        counter.add(int(tests[charged:].sum()))
+        counter.add(_scan_cost(prefixes, charged, stop - start))
     return QueryResult("not_found")
 
 

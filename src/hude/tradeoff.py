@@ -1,10 +1,11 @@
 """Statistical-computational trade-off curves.
 
 KL divergences over the forced two-by-two coupling, the constrained ratio
-objective whose infimum lower-bounds any list-of-points data structure, a
-per-side Brent minimizer for that objective, the closed-form lower and
-upper curves, and :class:`TradeoffPoint` rows of all of them on a common
-sample-ratio axis (written as CSV by :func:`hude.distributions.write_rows`).
+objective whose infimum lower-bounds any list-of-points data structure, its
+minimization and the alpha search (both zeros of first-order conditions,
+found by Brent's zero finder), the closed-form lower and upper curves, and
+:class:`TradeoffPoint` rows of all of them on a common sample-ratio axis
+(written as CSV by :func:`hude.distributions.write_rows`).
 
 Conventions: natural logarithms throughout, 0*log(0) = 0, and +inf sentinels
 for divergences of non-absolutely-continuous pairs (they propagate through
@@ -174,7 +175,7 @@ def _gaps(t_q, t_u, w_q, w_u):
 
 
 _EXCLUDE_BAND = 1e-4  # the search's exclusion half-width around t_u == w_u
-_SIDE_XTOL = 1e-5  # Brent's tolerance in each side's search variable (_side_minimum)
+_SIDE_XTOL = 1e-5  # the zero finder's tolerance in each side's search variable (_side_minimum)
 _FAR_GAP = 1e-12  # that search stops this share of the side short of its far end
 # A side minimum less than this share below the line limit reports the limit:
 # at w_q = 1e-5, w_u = alpha = 1/2 float rounding put one 1.3e-12 below it,
@@ -226,61 +227,57 @@ def _objective_scalar(t_q: float, t_u: float, w_q: float, w_u: float, alpha: flo
     return (alpha * gap_q + (1.0 - alpha) * gap_u) / d_u
 
 
-def _brent_min(fun, lo: float, hi: float, xtol: float):
-    """Brent's minimum of a unimodal scalar function on [lo, hi].
+def _brent_zero(fun, lo: float, hi: float, xtol: float) -> float:
+    """Where fun turns from negative to nonnegative on [lo, hi].
 
-    Golden-section steps, replaced by the vertex of the parabola through the
-    three best points whenever that lies inside the bracket and moves less
-    than half the step before last.  Every evaluation lies strictly inside
-    (lo, hi), at least xtol/2 from the current best point.  Returns (x, fun(x))
-    once the bracket around x is within xtol of it on both sides, so x lies
-    within xtol of the minimizer.
+    lo if fun(lo) >= 0 and hi if fun(hi) < 0; otherwise the Brent-Dekker
+    zero finder (Brent 1973, ch. 4) keeps a bracket [b, c] with fun(b) and
+    fun(c) on opposite sides of 0 and shrinks it by secant or inverse
+    quadratic steps, or by bisection where those would not shrink it fast
+    enough.  Every evaluation lies in [lo, hi].  Returns the evaluated end b
+    of a bracket at most max(xtol, 4.4e-16 |b|) wide, so b lies within that
+    of the sign change.  Where fun has the sign of a unimodal function's
+    slope, the result is that function's minimizer on [lo, hi].
     """
-    cgold = (3.0 - math.sqrt(5.0)) / 2.0
+    fa = fun(lo)
+    if fa >= 0.0:
+        return lo
+    fb = fun(hi)
+    if fb < 0.0:
+        return hi
     a, b = lo, hi
-    x = w = v = a + cgold * (b - a)
-    fx = fw = fv = fun(x)
-    d = e = 0.0
+    c, fc = a, fa
+    d = e = b - a
     while True:
-        tol = max(0.5 * xtol, 4e-16 * abs(x))  # never below float resolution at x
-        mid = 0.5 * (a + b)
-        if max(x - a, b - x) <= 2.0 * tol:
-            return x, fx
-        golden = True
-        if abs(e) > tol:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            e_prev, e = e, d
-            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
-                golden = False
-                d = p / q
-                if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
-                    d = tol if x < mid else -tol
-        if golden:
-            e = (a if x >= mid else b) - x
-            d = cgold * e
-        u = x + d if abs(d) >= tol else x + math.copysign(tol, d)
-        fu = fun(u)
-        if fu <= fx:
-            if u < x:
-                b = x
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        tol = max(0.5 * xtol, 2.2e-16 * abs(b))  # never below float resolution at b
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
             else:
-                a = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = fun(b)
+        if (fb >= 0.0) == (fc >= 0.0):
+            c, fc = a, fa
+            d = e = b - a
 
 
 def _tq_slope(t_q: float, t_u: float, w_q: float, w_u: float, alpha: float) -> float:
@@ -328,37 +325,71 @@ def _inner_tq(t_u: float, w_q: float, w_u: float, alpha: float) -> float:
     return math.exp(x)
 
 
+def _log_ratio(x: float, ref: float, d: float) -> float:
+    """log(x / ref) as log1p(d / ref) from d = x - ref, which keeps its relative
+    precision where x is near ref; the direct form where x is below ref / 2."""
+    ratio = d / ref
+    return math.log1p(ratio) if ratio > -0.5 else math.log(x / ref)
+
+
+def _tu_slope(t_q: float, t_u: float, w_q: float, w_u: float, alpha: float, value: float) -> float:
+    """N_u - F D_u, which has the sign of the exact t_u profile's slope at t_u.
+
+    F = value is the objective at the inner minimizer t_q, where its
+    t_q-derivative is 0 (or t_q = 0 stays put), so by the envelope theorem
+    the profile's t_u-derivative is F's partial one, (N_u - F D_u) / d(t_u||w_u),
+    with N_u and D_u the t_u-derivatives of the numerator and of the
+    denominator d(t_u||w_u) at fixed t_q.
+    """
+    tail = _log_ratio(1.0 - t_u, 1.0 - w_u, w_u - t_u)
+    d_u = _log_ratio(t_u, w_u, t_u - w_u) - tail
+    if 2.0 * t_q <= t_u:
+        lead = _log_ratio(t_u - t_q, w_u - w_q, (t_u - w_u) - (t_q - w_q))
+    else:
+        lead = (1.0 - alpha) * _log_ratio(t_q, w_q, t_q - w_q) + alpha * _log_ratio(
+            1.0 - t_q, 1.0 - w_q, w_q - t_q
+        )
+    return lead - tail - (1.0 - alpha + value) * d_u
+
+
 def _side_minimum(w_q: float, w_u: float, alpha: float, sign: float):
     """(value, t_q, t_u) of min over t_u of F(_inner_tq(t_u), t_u) on one side of the band.
 
     sign = -1 searches t_u in [0, w_u - band], +1 searches [w_u + band, 1].
-    With d = |t_u - w_u| and far the side's length, one Brent search runs in
+    With d = |t_u - w_u| and far the side's length, the search runs in
     x = log(d / (far - d)), which resolves the distance to the band and to
     the far end alike, from the band to _FAR_GAP * far short of the far end.
-    Brent never evaluates the ends, so the far end itself (t_u = 0, where
-    t_q = 0 is forced, or t_u = 1) is tried too; the band's edge is left to
-    _line_limit.
+    It is the zero of the profile's slope in x, which has the sign of
+    sign * _tu_slope, or the bracket end that slope points to.  The far end
+    itself (t_u = 0, where t_q = 0 is forced, or t_u = 1) is tried too; the
+    line t_u = w_u is left to _line_limit.
     """
     far = w_u if sign < 0 else 1.0 - w_u
     if far <= _EXCLUDE_BAND:
         return math.inf, w_q, w_u
-    inner: dict[float, float] = {}
+    solved: dict[float, tuple[float, float]] = {}
 
-    def outer(t_u: float) -> float:
-        t_q = inner[t_u] = _inner_tq(t_u, w_q, w_u, alpha) if t_u > 0.0 else 0.0
-        return _objective_scalar(t_q, t_u, w_q, w_u, alpha)
+    def solve(t_u: float) -> tuple[float, float]:
+        t_q = _inner_tq(t_u, w_q, w_u, alpha) if t_u > 0.0 else 0.0
+        solved[t_u] = _objective_scalar(t_q, t_u, w_q, w_u, alpha), t_q
+        return solved[t_u]
 
     def t_u_at(x: float) -> float:
         return w_u + sign * far / (1.0 + math.exp(-x))
 
-    lo = math.log(_EXCLUDE_BAND / (far - _EXCLUDE_BAND))
-    x, value = _brent_min(lambda x: outer(t_u_at(x)), lo, -math.log(_FAR_GAP), _SIDE_XTOL)
-    t_u = t_u_at(x)
+    def slope(x: float) -> float:
+        t_u = t_u_at(x)
+        value, t_q = solve(t_u)
+        return sign * _tu_slope(t_q, t_u, w_q, w_u, alpha, value)
+
+    # 1e-9 inside the bracket's band end, so that rounding keeps t_u out of the band.
+    lo = math.log(_EXCLUDE_BAND / (far - _EXCLUDE_BAND)) + 1e-9
+    t_u = t_u_at(_brent_zero(slope, lo, -math.log(_FAR_GAP), _SIDE_XTOL))
     end = 0.0 if sign < 0 else 1.0
-    end_value = outer(end)
+    (value, t_q), (end_value, end_t_q) = solved[t_u], solve(end)
     if end_value <= value:
-        value, t_u = end_value, end
-    return value, inner[t_u], t_u
+        return end_value, end_t_q, end
+    return value, t_q, t_u
 
 
 def _line_limit(w_q: float, w_u: float, alpha: float) -> float:
@@ -374,10 +405,19 @@ def _line_limit(w_q: float, w_u: float, alpha: float) -> float:
     return alpha * (1.0 - alpha) * gap / ((1.0 - alpha) * gap + w_q * (1.0 - w_u))
 
 
-def _infimum(w_q: float, w_u: float, alpha: float) -> InfimumResult:
-    """The lower side minimum, or the line limit where that is lower or tied
-    (within _TIE_RTOL).  At alpha 0 or 1 the limit is 0, and F >= 0, so it
-    is the infimum without a search."""
+def minimize_objective(w_q: float, w_u: float, alpha: float) -> InfimumResult:
+    """Global minimum of the objective over {0 <= t_q <= t_u <= 1, t_u != w_u}.
+
+    The exact inner minimum over t_q (_inner_tq) at each t_u, minimized over
+    t_u on each side of the excluded band (_side_minimum), or the limit along
+    the excluded line (_line_limit) where that is lower or tied (within
+    _TIE_RTOL).  At alpha 0 or 1 the limit is 0, and F >= 0, so it is the
+    infimum without a search.
+    """
+    if not 0.0 < w_q < w_u < 1.0:
+        raise ValueError("parameters must satisfy 0 < w_q < w_u < 1")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
     limit = _line_limit(w_q, w_u, alpha)
     if limit == 0.0:
         return InfimumResult(limit, w_q, w_u)
@@ -385,20 +425,6 @@ def _infimum(w_q: float, w_u: float, alpha: float) -> InfimumResult:
     if limit <= value * (1.0 + _TIE_RTOL):
         return InfimumResult(limit, w_q, w_u)
     return InfimumResult(value, t_q, t_u)
-
-
-def minimize_objective(w_q: float, w_u: float, alpha: float) -> InfimumResult:
-    """Global minimum of the objective over {0 <= t_q <= t_u <= 1, t_u != w_u}.
-
-    The exact inner minimum over t_q (_inner_tq) at each t_u, minimized over
-    t_u on each side of the excluded band (_side_minimum), or the limit along
-    the excluded line (_line_limit) where that is lower.
-    """
-    if not 0.0 < w_q < w_u < 1.0:
-        raise ValueError("parameters must satisfy 0 < w_q < w_u < 1")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    return _infimum(w_q, w_u, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +437,25 @@ def _check_rho_u(rho_u: float) -> None:
         raise ValueError(f"space exponent rho_u must be finite and nonnegative (got {rho_u!r})")
 
 
-# alpha_boundary needs the bound to fall from alpha = 0.01 to the nearest other
-# alpha solved at a slope that, times 0.01, exceeds this relative to the bound.
-# At rho_u = 0 the bound is often flat there, and its last bits decided the
-# flag; a difference test missed mild peaks, as that alpha is about 1e-6 away.
+def _g_u(infimum: InfimumResult, w_q: float, w_u: float, alpha: float) -> float:
+    """g_u at the infimum's point: the bound's alpha-slope is (rho_u - g_u) / alpha^2.
+
+    On the excluded line it is g_u's limit along the infimum's direction,
+    w_u(1-w_u)(A t^2 + B t + C) with _line_limit's A and C at alpha = 0 and
+    t = 1/((w_u-w_q)A) at this alpha, which simplifies to
+    alpha^2 w_q (1-w_u)(w_u-w_q) / den^2 with den _line_limit's denominator.
+    """
+    if infimum.t_u == w_u:
+        gap = w_u - w_q
+        den = (1.0 - alpha) * gap + w_q * (1.0 - w_u)
+        return alpha * alpha * w_q * (1.0 - w_u) * gap / (den * den)
+    return _objective_scalar(infimum.t_q, infimum.t_u, w_q, w_u, 0.0)
+
+
+# alpha_boundary needs the bound's slope at alpha = 0.01, times 0.01, to fall
+# by more than this relative to the bound.  At rho_u = 0 the bound is often
+# flat there (the minimizer is the corner t_q = t_u = 0, where g_u = 0), and
+# without the tolerance the last bits of g_u set the flag.
 _FLAT_RTOL = 1e-9
 
 
@@ -430,34 +471,29 @@ class LowerBoundResult:
 def query_exponent_lower_bound(w_q: float, w_u: float, rho_u: float) -> LowerBoundResult:
     """Best achievable bound rho_q >= max_alpha (inf F(alpha) - (1-alpha) rho_u)/alpha.
 
-    inf F is an infimum of functions affine in alpha, so it is concave, and
-    the bound's derivative has the nonincreasing numerator
-    alpha * inf F' - inf F + rho_u: the bound has one peak on [0.01, 1].  Both
-    ends are solved exactly, then Brent's method finds the peak between them
-    to 1e-6 in alpha; each exact solve is minimize_objective's.  The result
-    is clamped to [0, 1].
+    By the envelope theorem the bound's alpha-derivative is (rho_u - g_u)/alpha^2,
+    with g_u at the infimum's point (_g_u); inf F is an infimum of functions
+    affine in alpha, so it is concave and g_u does not decrease.  The bound
+    thus has one peak on [0.01, 1], where g_u - rho_u turns nonnegative:
+    Brent's zero finder finds it to 1e-6 in alpha, with one
+    minimize_objective solve per step, and the best bound among the alphas
+    solved is reported.  The result is clamped to [0, 1].
     """
     _check_rho_u(rho_u)
-    if not 0.0 < w_q < w_u < 1.0:
-        raise ValueError("parameters must satisfy 0 < w_q < w_u < 1")
     solves: dict[float, InfimumResult] = {}
 
     def bound(alpha: float) -> float:
         return (solves[alpha].value - (1.0 - alpha) * rho_u) / alpha
 
-    def negated_bound(alpha: float) -> float:
-        solves[alpha] = _infimum(w_q, w_u, alpha)
-        return -bound(alpha)
+    def falling(alpha: float) -> float:
+        solves[alpha] = minimize_objective(w_q, w_u, alpha)
+        return _g_u(solves[alpha], w_q, w_u, alpha) - rho_u
 
-    lo, hi = 0.01, 1.0
-    negated_bound(lo)
-    negated_bound(hi)
-    _brent_min(negated_bound, lo, hi, xtol=1e-6)
+    lo = 0.01
+    _brent_zero(falling, lo, 1.0, xtol=1e-6)
     best_alpha = max(solves, key=bound)
     raw = bound(best_alpha)
-    nearest = min(alpha for alpha in solves if alpha != lo)
-    fall = (bound(lo) - bound(nearest)) / (nearest - lo) * lo
-    at_boundary = fall > _FLAT_RTOL * abs(raw)
+    at_boundary = _g_u(solves[lo], w_q, w_u, lo) - rho_u > lo * _FLAT_RTOL * abs(raw)
     clamped = not 0.0 <= raw <= 1.0
     rho_q = min(1.0, max(0.0, raw))
     return LowerBoundResult(rho_q, best_alpha, at_boundary, clamped, solves[best_alpha])

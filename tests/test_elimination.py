@@ -53,6 +53,14 @@ class TestSmallCases:
         with pytest.raises(ValueError):
             eliminate(data, np.asarray([1, 1]), _query(4, [0]), OpCounter())
 
+    @pytest.mark.parametrize("candidates", [[0.5, 1.7], np.asarray([True, True])])
+    def test_non_integer_candidates_rejected(self, candidates):
+        # Cast to int64, [0.5, 1.7] answered as [0, 1], and the bool mask read
+        # as the duplicate list [1, 1].
+        data = Dataset.from_supports(4, [[0], [1]])
+        with pytest.raises(ValueError, match="candidates must be integer dataset indices"):
+            eliminate(data, candidates, _query(4, [0]), OpCounter())
+
     @pytest.mark.parametrize("candidate", [-1, 2])
     def test_candidate_outside_the_dataset_rejected(self, candidate):
         # k = 2 leaves padding bits in the alive bitmap that index 2 would land on.
