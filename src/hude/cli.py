@@ -50,17 +50,21 @@ def _check_writable(path) -> None:
 
 
 def _parse_grid(spec: str) -> list[float]:
-    """Grid syntax 'lo:hi:logN' (geometric) or 'lo:hi:linN' (arithmetic)."""
+    """Grid syntax 'lo:hi:logN' (geometric, both ends finite and positive) or
+    'lo:hi:linN' (arithmetic)."""
     try:
         lo_s, hi_s, kind = spec.split(":")
         lo, hi, count = float(lo_s), float(hi_s), int(kind[3:])
         space = {"log": np.geomspace, "lin": np.linspace}.get(kind[:3])
+        if space is np.geomspace and not (0.0 < lo < np.inf and 0.0 < hi < np.inf):
+            space = None
         if space is not None and count >= 1:
             return space(lo, hi, count).tolist()
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(
-        f"bad grid spec {spec!r} (want lo:hi:logN or lo:hi:linN with N >= 1)"
+        f"bad grid spec {spec!r} (want lo:hi:logN with finite positive ends"
+        " or lo:hi:linN, N >= 1)"
     )
 
 

@@ -33,7 +33,7 @@ def _xlog_ratio(x, ref):
     return out
 
 
-# kl_binary takes the series where |p - q| < _NEAR * min(q, 1 - q) and
+# _kl_scalar takes the series where |p - q| < _NEAR * min(q, 1 - q) and
 # elsewhere takes each term from d = p - q with log1p: the direct
 # (1-p) log((1-p)/(1-q)) keeps only the absolute precision of a ratio near 1,
 # and cancels against p log(p/q) when q is small (6e-5 relative at
@@ -45,8 +45,7 @@ _SERIES_TERMS = 4  # truncation error below 1e-18 relative at |v| < 0.0102
 def _bd0_series(x, m, d):
     """bd0(x, m) = x log(x/m) + m - x from d = x - m, when |d| < 0.0102 (x + m),
     as d v + 2x (v^3/3 + v^5/5 + ...) with v = d/(x+m) (Loader 2000, "Fast and
-    Accurate Computation of Binomial Probabilities"): one sign, no cancellation.
-    Floats and arrays get the same operations in the same order."""
+    Accurate Computation of Binomial Probabilities"): one sign, no cancellation."""
     v = d / (x + m)
     v2 = v * v
     tail = 1.0 / (2 * _SERIES_TERMS + 1)
@@ -55,41 +54,52 @@ def _bd0_series(x, m, d):
     return d * v + 2.0 * x * v * v2 * tail
 
 
-def _xlog1p(x, ref, d):
-    """x log(x/ref) as x log1p(d/ref) from d = x - ref; _xlog_ratio's direct
-    form where d/ref rounds to -1 (x is 0 or far below ref) or ref is 0."""
+def _xlog1p(x: float, ref: float, d: float) -> float:
+    """x log(x/ref) as x log1p(d/ref) from d = x - ref, for ref > 0; the direct
+    form where d/ref rounds to -1 or below (x is 0 or far below ref)."""
+    ratio = d / ref
+    if ratio > -1.0:
+        return x * math.log1p(ratio)
+    return x * math.log(x / ref) if x else 0.0
+
+
+def _kl_scalar(x: float, ref: float) -> float:
+    """d(x || ref) for 0 < ref < 1, with no validation: bd0(x, ref) +
+    bd0(1-x, 1-ref) by the series from d = x - ref where x and ref are close
+    (see _NEAR), and the two _xlog1p terms elsewhere.  On numpy scalars
+    (:func:`_map_floats`) division by zero makes ref = 0 or 1 give 0 where
+    x == ref and +inf elsewhere."""
+    d = x - ref
+    if abs(d) < _NEAR * min(ref, 1.0 - ref):
+        return _bd0_series(x, ref, d) + _bd0_series(1.0 - x, 1.0 - ref, -d)
+    return _xlog1p(x, ref, d) + _xlog1p(1.0 - x, 1.0 - ref, -d)
+
+
+def _map_floats(fun, *args):
+    """fun on each element of the broadcast float64 arguments: a float for
+    scalar input, an array otherwise.  The elements are numpy scalars, so a
+    division by zero in fun gives inf or nan, as array arithmetic would, and
+    raises no ZeroDivisionError."""
+    grid = np.broadcast(*(np.asarray(a, dtype=np.float64) for a in args))
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = d / ref
-        out = np.asarray(x * np.log1p(ratio))
-    direct = (ratio <= -1.0) | (ref == 0.0)
-    if direct.any():
-        x_d, ref_d = (np.broadcast_to(a, direct.shape)[direct] for a in (x, ref))
-        out[direct] = _xlog_ratio(x_d, ref_d)
-    return out
+        out = np.fromiter((fun(*xs) for xs in grid), np.float64, count=grid.size)
+    if grid.ndim == 0:
+        return float(out[0])
+    return out.reshape(grid.shape)
 
 
 def kl_binary(p, q):
     """KL divergence between Bernoulli(p) and Bernoulli(q), natural log.
 
-    bd0(p, q) + bd0(1-p, 1-q) by the series from d = p - q where p and q are
-    close (see _NEAR), and p log1p(d/q) + (1-p) log1p(-d/(1-q)) elsewhere
-    (see _xlog1p for where a term falls back to the direct form).
+    :func:`_kl_scalar` on each element; at q = 0 or 1 it is 0 where p == q
+    and +inf elsewhere, and NaN in gives NaN out.
     """
-    p_arr = np.asarray(p, dtype=np.float64)
-    q_arr = np.asarray(q, dtype=np.float64)
-    if np.any((p_arr < 0) | (p_arr > 1)):
+    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    if np.any((p < 0) | (p > 1)):
         raise ValueError("first argument must lie in [0, 1]")
-    if np.any((q_arr < 0) | (q_arr > 1)):
+    if np.any((q < 0) | (q > 1)):
         raise ValueError("second argument must lie in [0, 1]")
-    diff, q_c = p_arr - q_arr, 1.0 - q_arr
-    out = np.asarray(_xlog1p(p_arr, q_arr, diff) + _xlog1p(1.0 - p_arr, q_c, -diff))
-    near = np.abs(diff) < _NEAR * np.minimum(q_arr, q_c)
-    if near.any():
-        p_n, q_n, d_n = (np.broadcast_to(a, near.shape)[near] for a in (p_arr, q_arr, diff))
-        out[near] = _bd0_series(p_n, q_n, d_n) + _bd0_series(1.0 - p_n, 1.0 - q_n, -d_n)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _map_floats(_kl_scalar, p, q)
 
 
 def coupling_kl(t_q, t_u, w_q, w_u):
@@ -110,22 +120,43 @@ def coupling_kl(t_q, t_u, w_q, w_u):
 
 
 def objective(t_q, t_u, w_q, w_u, alpha):
-    """The constrained ratio objective, alpha * g_q + (1 - alpha) * g_u (see _gaps).
+    """The constrained ratio objective, :func:`_objective_scalar` on each element.
 
     The domain is 0 <= t_q <= t_u <= 1 less the line t_u == w_u, where the
-    denominator vanishes.
+    denominator vanishes, for 0 <= w_q <= w_u <= 1.
     """
-    t_q_arr = np.asarray(t_q, dtype=np.float64)
-    t_u_arr = np.asarray(t_u, dtype=np.float64)
-    if np.any(t_u_arr == w_u):
+    t_q, t_u, w_q, w_u = (np.asarray(a, dtype=np.float64) for a in (t_q, t_u, w_q, w_u))
+    if np.any(t_u == w_u):
         raise ValueError("objective undefined at t_u == w_u (zero denominator)")
-    if np.any((t_q_arr < 0.0) | (t_q_arr > t_u_arr) | (t_u_arr > 1.0)):
+    if np.any((t_q < 0.0) | (t_q > t_u) | (t_u > 1.0)):
         raise ValueError("objective needs 0 <= t_q <= t_u <= 1")
-    g_q, g_u = _gaps(t_q_arr, t_u_arr, w_q, w_u)
-    out = alpha * g_q + (1.0 - alpha) * g_u
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    if np.any((w_q < 0.0) | (w_q > w_u) | (w_u > 1.0)):
+        raise ValueError("objective needs 0 <= w_q <= w_u <= 1")
+    return _map_floats(_objective_scalar, t_q, t_u, w_q, w_u, alpha)
+
+
+def _objective_scalar(t_q: float, t_u: float, w_q: float, w_u: float, alpha: float) -> float:
+    """The objective at one feasible point (not checked), as the side search
+    evaluates it.
+
+    By the KL chain rule the two numerator gaps have cancellation-free forms
+        D - d(t_u||w_u) = t_u * d(t_q/t_u || w_q/w_u)
+        D - d(t_q||w_q) = (1-t_q) * d((t_u-t_q)/(1-t_q) || (w_u-w_q)/(1-w_q)),
+    both manifestly nonnegative, so the ratio never takes the wrong sign;
+    g_q and g_u are these gaps over d(t_u||w_u), and F = alpha * g_q +
+    (1 - alpha) * g_u.  The conditional divergences are nonnegative exactly;
+    flooring them at 0 removes sign noise that the 1/d_u amplification would
+    otherwise blow up.
+    """
+    d_u = _kl_scalar(t_u, w_u)
+    gap_u = 0.0
+    if t_u > 0.0:
+        gap_u = t_u * max(_kl_scalar(min(max(t_q / t_u, 0.0), 1.0), w_q / w_u), 0.0)
+    gap_q = 0.0
+    if t_q < 1.0:
+        cond = min(max((t_u - t_q) / (1.0 - t_q), 0.0), 1.0)
+        gap_q = (1.0 - t_q) * max(_kl_scalar(cond, (w_u - w_q) / (1.0 - w_q)), 0.0)
+    return (alpha * gap_q + (1.0 - alpha) * gap_u) / d_u
 
 
 def objective_from_divergences(t_q, t_u, w_q, w_u, alpha):
@@ -144,29 +175,6 @@ def objective_from_divergences(t_q, t_u, w_q, w_u, alpha):
     if np.ndim(out) == 0:
         return float(out)
     return out
-
-
-def _gaps(t_q, t_u, w_q, w_u):
-    """The objective's alpha-free terms on float arrays of feasible (t_q, t_u).
-
-    By the KL chain rule the two numerator gaps have cancellation-free forms
-        D - d(t_u||w_u) = t_u * d(t_q/t_u || w_q/w_u)
-        D - d(t_q||w_q) = (1-t_q) * d((t_u-t_q)/(1-t_q) || (w_u-w_q)/(1-w_q)),
-    both manifestly nonnegative, so the ratio never takes the wrong sign;
-    g_q and g_u are these gaps over d(t_u||w_u), and F = alpha * g_q +
-    (1 - alpha) * g_u.
-    """
-    d_u = kl_binary(t_u, w_u)
-    # The conditional divergences are nonnegative exactly; flooring them at 0
-    # removes sign noise that the 1/d_u amplification would otherwise blow up.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond_q = np.where(t_u > 0.0, t_q / np.where(t_u > 0.0, t_u, 1.0), 0.0)
-        gap_u = t_u * np.maximum(kl_binary(np.clip(cond_q, 0.0, 1.0), w_q / w_u), 0.0)
-        cond_u = np.where(t_q < 1.0, (t_u - t_q) / (1.0 - t_q), 0.0)
-        gap_q = (1.0 - t_q) * np.maximum(
-            kl_binary(np.clip(cond_u, 0.0, 1.0), (w_u - w_q) / (1.0 - w_q)), 0.0
-        )
-        return gap_q / d_u, gap_u / d_u
 
 
 # ---------------------------------------------------------------------------
@@ -192,39 +200,6 @@ class InfimumResult:
     value: float
     t_q: float
     t_u: float
-
-
-def _xlog1p_scalar(x: float, ref: float, d: float) -> float:
-    """Scalar twin of :func:`_xlog1p` for ref > 0."""
-    ratio = d / ref
-    if ratio > -1.0:
-        return x * math.log1p(ratio)
-    return x * math.log(x / ref) if x else 0.0
-
-
-def _kl_scalar(x: float, ref: float) -> float:
-    """Scalar twin of :func:`kl_binary` for 0 < ref < 1 (no validation)."""
-    d = x - ref
-    if abs(d) < _NEAR * min(ref, 1.0 - ref):
-        return _bd0_series(x, ref, d) + _bd0_series(1.0 - x, 1.0 - ref, -d)
-    return _xlog1p_scalar(x, ref, d) + _xlog1p_scalar(1.0 - x, 1.0 - ref, -d)
-
-
-def _objective_scalar(t_q: float, t_u: float, w_q: float, w_u: float, alpha: float) -> float:
-    """Pure-scalar objective for the side search (feasible point assumed).
-
-    The scalar twin of :func:`_gaps`: the same chain-rule split of the
-    numerator, with :func:`_kl_scalar` for each divergence.
-    """
-    d_u = _kl_scalar(t_u, w_u)
-    gap_u = 0.0
-    if t_u > 0.0:
-        gap_u = t_u * max(_kl_scalar(min(max(t_q / t_u, 0.0), 1.0), w_q / w_u), 0.0)
-    gap_q = 0.0
-    if t_q < 1.0:
-        cond = min(max((t_u - t_q) / (1.0 - t_q), 0.0), 1.0)
-        gap_q = (1.0 - t_q) * max(_kl_scalar(cond, (w_u - w_q) / (1.0 - w_q)), 0.0)
-    return (alpha * gap_q + (1.0 - alpha) * gap_u) / d_u
 
 
 def _brent_zero(fun, lo: float, hi: float, xtol: float) -> float:
@@ -448,7 +423,7 @@ def _g_u(infimum: InfimumResult, w_q: float, w_u: float, alpha: float) -> float:
     if infimum.t_u == w_u:
         gap = w_u - w_q
         den = (1.0 - alpha) * gap + w_q * (1.0 - w_u)
-        return alpha * alpha * w_q * (1.0 - w_u) * gap / (den * den)
+        return alpha * alpha * gap / den * (w_q * (1.0 - w_u) / den)  # den * den can underflow
     return _objective_scalar(infimum.t_q, infimum.t_u, w_q, w_u, 0.0)
 
 

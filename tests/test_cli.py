@@ -446,7 +446,8 @@ class TestTradeoff:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("spec", ["oops", "20:40:log0", "20:40:lin-1", "20:40:geo5"])
+    @pytest.mark.parametrize("spec", ["oops", "20:40:log0", "20:40:lin-1", "20:40:geo5",
+                                      "20:-1:log3"])
     def test_bad_grid_spec_is_usage_error(self, tmp_path, spec):
         with pytest.raises(SystemExit) as err:
             main(["tradeoff", "--rho-u", "0.5", "--s-grid", spec,
@@ -652,7 +653,8 @@ class TestFloatFlagFuzz:
            ("gapss", ("--w-u", "--w-q"))) for flag in flags),
         *(("query", flag) for flag in ("--rho-u", "--c", "--c-query", "--eps")),
         *(("bench", flag) for flag in ("--scale", "--L-factor")),
-        *(("tradeoff", flag) for flag in ("--rho-u", "--eps", "--w-u", "--prior-constant")),
+        *(("tradeoff", flag) for flag in ("--rho-u", "--eps", "--w-u", "--prior-constant",
+                                          "--s-grid")),
     ]
 
     @pytest.fixture(scope="class")
@@ -691,6 +693,8 @@ class TestFloatFlagFuzz:
             argv = ["query", "--instance", str(instance), "--algorithm", "subset",
                     "--rho-u", "0.5", flag, value]
         else:
+            if flag == "--s-grid":  # the grid's far end
+                value = f"20:{value}:log3"
             argv = [*(self.BENCH if command == "bench" else self.TRADEOFF), "--out", str(out),
                     flag, value]
         self._check_clean_run(argv, out, capsys, json_stdout=command == "query")

@@ -4,6 +4,7 @@ import decimal
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,17 @@ class TestKlBinary:
         assert kl_binary(0.3, 1.0) == math.inf
         assert kl_binary(0.0, 0.0) == 0.0
         assert kl_binary(1.0, 1.0) == 0.0
+        # The same edges in one array call, then NaN in each argument: NaN out,
+        # and no warning.
+        p = [0.3, 0.3, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, math.nan, 0.5, math.nan, 0.0, 1.0]
+        q = [0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.25, 0.5, 0.5, math.nan, 0.0, math.nan, math.nan]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kl_binary(np.array(p), np.array(q))
+            assert math.isnan(kl_binary(0.5, math.nan)) and math.isnan(kl_binary(math.nan, 0.5))
+        assert got[:6].tolist() == [math.inf, math.inf, 0.0, 0.0, math.inf, math.inf]
+        assert got[6:8].tolist() == pytest.approx([math.log(4.0 / 3.0), LOG2], rel=1e-15)
+        assert np.isnan(got[8:]).all()
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -119,8 +131,8 @@ class TestObjective:
         assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))))
 
     def test_internal_evaluation_matches_public_codings(self):
-        # The solver's scalar coding must agree with the vectorized one,
-        # which the public objective reads, away from the removed line.
+        # The public objective maps the solver's scalar coding over its
+        # arguments, so the two must agree away from the removed line.
         from hude.tradeoff import _objective_scalar
 
         rng = np.random.default_rng(12)
@@ -158,6 +170,8 @@ class TestObjective:
     def test_denominator_zero_rejected(self):
         with pytest.raises(ValueError):
             objective(0.01, 0.5, 0.02, 0.5, 0.5)
+        # Off the line a denominator that underflows to 0 gives +inf.
+        assert objective(0.0, 1e-300 * (1.0 + 2.0**-40), 1e-301, 1e-300, 0.5) == math.inf
 
     @pytest.mark.parametrize("t_q, t_u", [(1.0, 1.0), (0.0, 0.0), (0.0, 1.0), (0.3, 1.0)])
     @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
@@ -172,6 +186,9 @@ class TestObjective:
         for t_q, t_u in ((-0.1, 0.3), (0.4, 0.3), (0.2, 1.1)):
             with pytest.raises(ValueError):
                 objective(t_q, t_u, 0.02, 0.5, 0.5)
+        for w_q, w_u in ((-0.1, 0.5), (0.6, 0.5), (0.3, 1.2)):
+            with pytest.raises(ValueError):
+                objective(0.1, 0.3, w_q, w_u, 0.5)
 
 
 class TestMinimizeObjective:
@@ -365,6 +382,15 @@ class TestQueryExponentBound:
     def test_result_is_clamped(self):
         bound = query_exponent_lower_bound(required_w_q(0.5, 30.0), 0.5, 0.5)
         assert 0.0 <= bound.rho_q <= 1.0
+
+    def test_extreme_sample_ratio(self):
+        # At s = 1e300, w_q is about 1e-300, and the line limit's g_u must not
+        # square its denominator, which would underflow to 0.
+        s = 1e300
+        bound = query_exponent_lower_bound(required_w_q(0.5, s), 0.5, 0.5)
+        assert bound.infimum.t_u == 0.5
+        assert bound.rho_q >= analytic_lower_bound(s, 0.5) - 0.02
+        assert bound.rho_q <= upper_exponent(s, 0.5, 1.0) + 0.02
 
     @pytest.mark.parametrize("s, rho_u", [(20.0, 0.5), (50.0, 0.0), (1000.0, 1.0)])
     def test_infimum_is_minimize_objective_at_winning_alpha(self, s, rho_u):
