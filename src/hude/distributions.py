@@ -238,11 +238,15 @@ class Dataset:
         matrix.flags.writeable = False
         return matrix
 
+    def holds(self, supports, elements=slice(None)) -> np.ndarray:
+        """Unchecked bits: whether each of ``supports`` holds each of ``elements`` (broadcast)."""
+        return (self.columns[elements, supports >> 3] & (0x80 >> (supports & 7))) != 0
+
     def row(self, j: int) -> np.ndarray:
         """Support j as an (n,) boolean vector."""
         if not 0 <= j < self.k:
             raise IndexError(f"support {j} outside [0, {self.k})")
-        return (self.columns[:, j >> 3] & (0x80 >> (j & 7))) != 0
+        return self.holds(j)
 
     def overlaps(self, j: int) -> np.ndarray:
         """|supp(j) & supp(i)| for every support i, unpacking ``_ROW_BLOCK`` supports at a time."""

@@ -91,6 +91,7 @@ def sample_probes(seed: int, count: int, size: int, n: int) -> np.ndarray:
 _PROBE_BLOCK = 1024
 # Probes whose masks are ANDed per step; the temporary, 64 * ceil(k/8) bytes, fits in L2.
 _MASK_BLOCK = 64
+_CERTIFY_CELLS = 65_536  # cells uj-certify shuffles per step: candidates x pool, at least one row
 
 
 class SubsetIndex:
@@ -152,26 +153,6 @@ def preprocess(data: Dataset, params: IndexParams, seed: int) -> SubsetIndex:
     return SubsetIndex(probes, masks, params, data, seed)
 
 
-def _certify_candidate(
-    data: Dataset,
-    j: int,
-    pool: np.ndarray,
-    cap: int,
-    counter: OpCounter,
-    rng: np.random.Generator,
-) -> bool:
-    """Sample distinct query elements one at a time until a miss or cap accepts."""
-    take = min(cap, pool.size)
-    order = rng.permutation(pool)[:take]
-    inside = data.row(j)[order]
-    misses = np.flatnonzero(~inside)
-    if misses.size:
-        counter.add(int(misses[0]) + 1)
-        return False
-    counter.add(take)
-    return True
-
-
 def _scan_cost(prefixes: list[np.ndarray], a: int, b: int) -> int:
     """Membership tests of a block's probes a..b-1, from their prefix masks.
 
@@ -198,6 +179,10 @@ def query(
     probe-element and candidate-element tests are charged to ``counter``;
     ``epsilon`` (the certificate budget's separation) must be finite and
     positive.
+
+    uj-certify shuffles a chunk of candidates in one ``rng.permuted`` call,
+    equal to one ``rng.permutation`` per candidate in turn; after an accept
+    ``rng`` may have moved further, so pass a fresh generator per query.
     """
     variant = index.params.variant
     if variant == VARIANT_UJ_CERTIFY and rng is None:
@@ -205,9 +190,6 @@ def query(
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive (got {epsilon!r})")
     data = index.dataset
-    # Only min(cap, pool.size) is used, so clamping at n first keeps ceil finite.
-    cap = max(1, math.ceil(min(index.params.c_query * math.log(data.n) / epsilon, data.n)))
-    pool = q.distinct.indices
     member = q.distinct.bits
     probes = index.probes
     num_probes, ell = probes.shape
@@ -229,10 +211,23 @@ def query(
                 result = eliminate(data, bucket, q, counter)
                 if result.found:
                     return result
-            else:
-                for j in bucket.tolist():
-                    if _certify_candidate(data, j, pool, cap, counter, rng):
-                        return QueryResult("found", j)
+                continue
+            pool = q.distinct.indices
+            # The certificate budget; clamping it at n first keeps ceil finite.
+            cap = max(1, math.ceil(min(index.params.c_query * math.log(data.n) / epsilon, data.n)))
+            take = min(cap, pool.size)
+            chunk = max(1, _CERTIFY_CELLS // max(pool.size, 1))
+            for first in range(0, bucket.size, chunk):
+                candidates = bucket[first : first + chunk]
+                orders = rng.permuted(np.tile(pool, (candidates.size, 1)), axis=1)[:, :take]
+                inside = data.holds(candidates[:, None], orders)
+                # Each candidate's tests before its first miss, which is charged too.
+                leading = np.logical_and.accumulate(inside, axis=1).sum(axis=1)
+                passed = np.flatnonzero(leading == take)
+                last = passed[0] if passed.size else candidates.size - 1
+                counter.add(int(np.minimum(leading[: last + 1] + 1, take).sum()))
+                if passed.size:
+                    return QueryResult("found", int(candidates[last]))
         counter.add(_scan_cost(prefixes, charged, stop - start))
     return QueryResult("not_found")
 

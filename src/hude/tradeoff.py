@@ -56,10 +56,13 @@ def _bd0_series(x, m, d):
 
 def _xlog1p(x: float, ref: float, d: float) -> float:
     """x log(x/ref) as x log1p(d/ref) from d = x - ref, for ref > 0; the direct
-    form where d/ref rounds to -1 or below (x is 0 or far below ref)."""
+    form where d/ref rounds to -1 or below (x is 0 or far below ref), and
+    x (log x - log ref) where it overflows (ref subnormal)."""
     ratio = d / ref
-    if ratio > -1.0:
+    if -1.0 < ratio < math.inf:
         return x * math.log1p(ratio)
+    if ratio == math.inf and ref > 0.0:
+        return x * (math.log(x) - math.log(ref))
     return x * math.log(x / ref) if x else 0.0
 
 
@@ -78,10 +81,10 @@ def _kl_scalar(x: float, ref: float) -> float:
 def _map_floats(fun, *args):
     """fun on each element of the broadcast float64 arguments: a float for
     scalar input, an array otherwise.  The elements are numpy scalars, so a
-    division by zero in fun gives inf or nan, as array arithmetic would, and
-    raises no ZeroDivisionError."""
+    division by zero or an overflow in fun gives inf or nan, as array
+    arithmetic would, and raises no ZeroDivisionError."""
     grid = np.broadcast(*(np.asarray(a, dtype=np.float64) for a in args))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out = np.fromiter((fun(*xs) for xs in grid), np.float64, count=grid.size)
     if grid.ndim == 0:
         return float(out[0])
@@ -600,6 +603,11 @@ def tradeoff_rows(
         for curve in curves:
             flags: list[str] = []
             if curve == "numeric-lop":
+                if not w_q < w_u:
+                    raise ValueError(
+                        f"sample ratio s = {s!r} is too small: its query density "
+                        f"w_u * (1 - e^(-1/(s*w_u))) rounds to w_u = {w_u!r}"
+                    )
                 res = query_exponent_lower_bound(w_q, w_u, rho_u)
                 rho_q = res.rho_q
                 if res.alpha_boundary:

@@ -186,6 +186,47 @@ def _check_truth_containment() -> str | None:
     return None
 
 
+def _check_certify_batch() -> str | None:
+    # uj-certify shuffles a chunk of candidates in one rng.permuted call, which
+    # must give the rows and the generator state of one rng.permutation each.
+    for size in (0, 1, 2, 7, 50, 300):
+        pool = np.arange(size) * 3
+        for count in (1, 3, 64):
+            batched, single = (substream(81, "verify-permuted", size, count) for _ in range(2))
+            rows = batched.permuted(np.tile(pool, (count, 1)), axis=1)
+            if not all(np.array_equal(row, single.permutation(pool)) for row in rows):
+                return f"permuted rows differ from permutation calls (pool {size}, {count} rows)"
+            if batched.integers(2**62) != single.integers(2**62):
+                return f"permuted moved the generator elsewhere (pool {size}, {count} rows)"
+    # End to end, with two empty probes so every query certifies the whole
+    # dataset (two chunks here); a uniform query fails both buckets.
+    data, queries = bench.generate_point(200, 1000, 200, seed=82, point_id=0, num_queries=6)
+    queries.append((None, distributions.QueryMultiset(200, np.arange(0, 200, 2))))
+    index = subset_index.preprocess(data, subset_index.IndexParams(2, 0, variant="uj-certify"), 83)
+    matrix = data.matrix
+    cap = math.ceil(4.0 * math.log(200))  # c_query 4, epsilon 1
+    for qid, (_, sample) in enumerate(queries):
+        pool = sample.distinct.indices
+        ours, theirs = (substream(84, "verify-certify", qid) for _ in range(2))
+        counter = distributions.OpCounter()
+        got = subset_index.query(index, sample, 1.0, counter, rng=ours)
+        charge, found = 0, None
+        for j in list(range(data.k)) * 2:
+            inside = matrix[j, theirs.permutation(pool)[:cap]]
+            charge += int(inside.argmin()) + 1 if not inside.all() else inside.size
+            if inside.all():
+                found = j
+                break
+        if (got.index, counter.membership_ops) != (found, charge):
+            return (
+                f"query {qid}: {got.index} at {counter.membership_ops} ops, but "
+                f"{found} at {charge} with one shuffle per candidate"
+            )
+        if found is None and ours.integers(2**62) != theirs.integers(2**62):
+            return f"query {qid}: failed buckets moved the generator elsewhere"
+    return None
+
+
 def _check_elimination_monotone() -> str | None:
     # One sample at a time, each charged the candidates alive before it,
     # stopping at the first sample that leaves at most one.
@@ -313,6 +354,7 @@ SUITES = {
     "index": {
         "bucket-soundness": _check_bucket_soundness,
         "truth-containment": _check_truth_containment,
+        "certify-batch-matches-reference": _check_certify_batch,
         "elimination-monotone": _check_elimination_monotone,
     },
     "tradeoff": {

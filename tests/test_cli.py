@@ -446,6 +446,18 @@ class TestTradeoff:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", ["0.01:0.04:lin2", "20:1e-320:log3"])
+    def test_sample_ratio_too_small_for_numeric_lop_is_named(self, tmp_path, capsys, spec):
+        # There the query density rounds to w_u, which the solver cannot take.
+        out = tmp_path / "x.csv"
+        rc = main(["tradeoff", "--rho-u", "0.5", "--s-grid", spec, "--curves", "numeric-lop",
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "is too small: its query density" in err and "rounds to w_u = 0.5" in err
+        assert "sample ratio s = " in err and "0 < w_q < w_u < 1" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec", ["oops", "20:40:log0", "20:40:lin-1", "20:40:geo5",
                                       "20:-1:log3"])
     def test_bad_grid_spec_is_usage_error(self, tmp_path, spec):

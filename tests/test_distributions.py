@@ -464,6 +464,15 @@ class TestDatasetSerialization:
         with pytest.raises(IndexError):
             ds.row(k)
 
+    def test_holds_reads_bits_in_any_broadcast_shape(self):
+        matrix = random_bernoulli_supports(21, 9, 0.5, substream(2, "holds")).matrix
+        ds = Dataset(matrix)
+        supports = np.asarray([[0], [8], [20]], dtype=np.int32)
+        elements = substream(3, "holds").integers(0, 9, size=(3, 5))
+        assert np.array_equal(ds.holds(supports, elements), matrix[supports, elements])
+        assert np.array_equal(ds.holds(np.arange(21)), matrix.T)
+        assert np.array_equal(ds.holds(13), matrix[13])
+
     def test_matrix_is_read_only(self):
         ds = Dataset.from_supports(4, [[0], [1]])
         with pytest.raises(ValueError):

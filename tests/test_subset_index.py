@@ -243,6 +243,97 @@ class TestQuery:
             assert ctr.membership_ops > 0
 
 
+def _certify_one_at_a_time(index, q, epsilon, rng):
+    """uj-certify with one ``rng.permutation`` per candidate and one test at a time.
+
+    Returns (outcome, index, ops, resolved); ``resolved`` lists, per nonempty
+    bucket certified, its size and the accepted candidate's position or None.
+    """
+    data, member, pool = index.dataset, q.distinct.bits, q.distinct.indices
+    cap = max(1, math.ceil(min(index.params.c_query * math.log(data.n) / epsilon, data.n)))
+    matrix = data.matrix
+    ops, resolved = 0, []
+    for i, probe in enumerate(index.probes.tolist()):
+        contained = True
+        for element in probe:
+            ops += 1
+            if not member[element]:
+                contained = False
+                break
+        bucket = index.bucket(i).tolist() if contained else []
+        for position, j in enumerate(bucket):
+            passed = True
+            for element in rng.permutation(pool)[: min(cap, pool.size)].tolist():
+                ops += 1
+                if not matrix[j, element]:
+                    passed = False
+                    break
+            if passed:
+                resolved.append((len(bucket), position))
+                return "found", j, ops, resolved
+        if bucket:
+            resolved.append((len(bucket), None))
+    return "not_found", None, ops, resolved
+
+
+class TestCertifyChunks:
+    """uj-certify shuffles a chunk of candidates per ``rng.permuted`` call."""
+
+    @staticmethod
+    def _instance(seed):
+        # Samples from the truth plus a little noise, so that the truth can
+        # fail its certificate and a later bucket is tried on the same rng.
+        gen = np.random.default_rng(seed)
+        k, n = int(gen.integers(2, 60)), int(gen.integers(3, 40))
+        matrix = gen.random((k, n)) < gen.uniform(0.5, 0.95)
+        support = np.flatnonzero(matrix[int(gen.integers(k))])
+        draws = gen.choice(support, size=int(gen.integers(1, 30))) if support.size else []
+        noise = gen.integers(0, n, size=int(gen.integers(0, 3)))
+        q = QueryMultiset(n, np.concatenate([draws, noise]).astype(np.int64))
+        params = IndexParams(int(gen.integers(1, 40)), int(gen.integers(0, 3)), variant="uj-certify")
+        return preprocess(Dataset(matrix), params, seed), q, float(gen.choice([0.5, 1.0, 2.0]))
+
+    def test_random_instances_match_one_shuffle_per_candidate(self, monkeypatch):
+        seen = set()
+        for cells in (1, 7, 60):
+            monkeypatch.setattr("hude.subset_index._CERTIFY_CELLS", cells)
+            for seed in range(200):
+                index, q, epsilon = self._instance(seed)
+                ours, theirs = substream(seed, "certify"), substream(seed, "certify")
+                counter = OpCounter()
+                result = query(index, q, epsilon, counter, rng=ours)
+                outcome, found, ops, resolved = _certify_one_at_a_time(index, q, epsilon, theirs)
+                assert (result.outcome, result.index, counter.membership_ops) == (
+                    outcome, found, ops
+                ), (cells, seed)
+                if outcome == "not_found":
+                    # Failed buckets leave rng where one shuffle per candidate does.
+                    assert ours.integers(2**62) == theirs.integers(2**62), (cells, seed)
+                chunk = max(1, cells // max(q.distinct.cardinality, 1))
+                if any(size > chunk for size, _ in resolved):
+                    seen.add("bucket spans chunks")
+                if len(resolved) > 1:
+                    seen.add("failed bucket, then a later one")
+                size, position = resolved[-1] if resolved else (0, None)
+                if position is not None and position % chunk < chunk - 1 and position < size - 1:
+                    seen.add("accepted mid-chunk")
+        assert seen == {"bucket spans chunks", "failed bucket, then a later one",
+                        "accepted mid-chunk"}
+
+    @pytest.mark.parametrize("cells", [1, 7, 65_536])
+    def test_empty_sample_accepts_the_first_candidate_free(self, monkeypatch, cells):
+        # A sample with no elements (gen_urde can draw one) contains only
+        # empty probes, and leaves every certificate empty.
+        monkeypatch.setattr("hude.subset_index._CERTIFY_CELLS", cells)
+        data = random_bernoulli_supports(20, 16, 0.5, substream(3, "empty-pool"))
+        index = preprocess(data, IndexParams(3, 0, variant="uj-certify"), seed=4)
+        q = QueryMultiset(16, np.empty(0, dtype=np.int64))
+        counter = OpCounter()
+        result = query(index, q, 1.0, counter, rng=substream(5, "certify"))
+        assert (result.outcome, result.index, counter.membership_ops) == ("found", 0, 0)
+        assert _certify_one_at_a_time(index, q, 1.0, substream(5, "certify"))[:3] == ("found", 0, 0)
+
+
 class TestProbeHitProbability:
     def test_monte_carlo_matches_product_formula(self):
         # Conditioned on the realized number of distinct sample elements m,

@@ -87,6 +87,22 @@ class TestKlBinary:
             assert abs(decimal.Decimal(float(got)) - expected) <= decimal.Decimal(1e-13) * expected
 
 
+    @pytest.mark.parametrize("p, q", [(0.5, 5e-324), (0.5, 1e-310), (0.3, 2.5e-320)])
+    def test_subnormal_reference_matches_60_digit_reference(self, p, q):
+        # d / q overflows, so the term is taken as p (log p - log q).
+        from hude.tradeoff import _kl_scalar
+
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            p60, q60 = decimal.Decimal(p), decimal.Decimal(q)
+            expected = _xlog_ratio_60(p60, q60) + _xlog_ratio_60(1 - p60, 1 - q60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [kl_binary(p, q), kl_binary(np.array([p]), q)[0], _kl_scalar(p, q)]
+        for value in got:
+            assert abs(decimal.Decimal(float(value)) - expected) <= decimal.Decimal(1e-13) * expected
+
+
 class TestCouplingKl:
     def test_equal_laws_are_zero(self):
         assert coupling_kl(0.01, 0.5, 0.01, 0.5) == 0.0

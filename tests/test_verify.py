@@ -41,3 +41,24 @@ def test_below_profile_scan_catches_a_weakened_solver(mutation, monkeypatch):
         monkeypatch.setattr(tradeoff, "_side_minimum", lower_only)
     detail = SUITES["tradeoff"]["below-profile-scan"]()
     assert detail is not None and "above the t_u scan's minimum" in detail
+
+
+def test_certify_batch_check_catches_shuffles_that_are_not_per_candidate(monkeypatch):
+    # A query whose chunk shuffles differ from one rng.permutation per
+    # candidate (here the pool reversed before the shuffle) must fail the check.
+    import numpy as np
+
+    import hude.subset_index as subset_index
+
+    class ReversedTile:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def tile(pool, reps):
+            return np.tile(pool[::-1], reps)
+
+    assert SUITES["index"]["certify-batch-matches-reference"]() is None
+    monkeypatch.setattr(subset_index, "np", ReversedTile())
+    detail = SUITES["index"]["certify-batch-matches-reference"]()
+    assert detail is not None and "with one shuffle per candidate" in detail
