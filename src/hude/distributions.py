@@ -126,16 +126,6 @@ class QueryMultiset:
         bits[order] = True
         self.distinct = SupportSet(bits)
 
-    @classmethod
-    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "QueryMultiset":
-        """Rebuild from (element, multiplicity) pairs, expanded in listed order."""
-        stream: list[int] = []
-        for element, multiplicity in pairs:
-            if multiplicity <= 0:
-                raise ValueError("multiplicities must be positive")
-            stream.extend([int(element)] * int(multiplicity))
-        return cls(n, np.asarray(stream, dtype=np.int64))
-
     def pairs(self) -> list[tuple[int, int]]:
         """(element, multiplicity) pairs in first-appearance order."""
         elements, first, counts = np.unique(self.order, return_index=True, return_counts=True)

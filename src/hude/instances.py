@@ -403,8 +403,8 @@ def load_instance(outdir):
     if not isinstance(problem, str) or problem not in FAMILIES:
         raise ValueError(f"{path}: unknown problem type in sidecar: {problem!r}")
     family = FAMILIES[problem]
-    stream = problem != _SET_QUERY and "query_stream" in sidecar
-    needed = ["n", "k", "seed", "truth_index", *family.params, *([] if stream else ["query"])]
+    query_key = "query" if problem == _SET_QUERY else "query_stream"
+    needed = ["n", "k", "seed", "truth_index", *family.params, query_key]
     missing = [key for key in needed if key not in sidecar]
     if missing:
         raise ValueError(f"{path}: sidecar lacks key(s) {', '.join(map(repr, missing))}")
@@ -424,14 +424,22 @@ def load_instance(outdir):
     truth = sidecar["truth_index"]
     if type(truth) is not int or not 0 <= truth < dataset.k:
         raise ValueError(f"{path}: truth_index {truth!r} is not an index in [0, {dataset.k})")
+    values = sidecar[query_key]
     try:
+        if type(values) is not list or len(values) > _MAX_QUERY_SAMPLES:
+            raise ValueError(f"not a list of at most {_MAX_QUERY_SAMPLES:,} entries")
         if problem == _SET_QUERY:
-            query = SupportSet.from_indices(dataset.n, [e for e, _ in sidecar["query"]])
-        elif stream:
-            query = QueryMultiset(dataset.n, np.asarray(sidecar["query_stream"], dtype=np.int64))
+            if not all(type(p) is list and len(p) == 2 and type(p[1]) is int and p[1] == 1
+                       for p in values):
+                raise ValueError("entries must be [element, 1] pairs")
+            values = [e for e, _ in values]
+        if not all(type(v) is int and -(2**63) <= v < 2**63 for v in values):
+            raise ValueError("elements must be JSON integers within int64")
+        if problem == _SET_QUERY:
+            query = SupportSet.from_indices(dataset.n, values)
         else:
-            query = QueryMultiset.from_pairs(dataset.n, sidecar["query"])
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"{path}: malformed query: {err}") from None
+            query = QueryMultiset(dataset.n, values)
+    except ValueError as err:
+        raise ValueError(f"{path}: malformed query: {err} (sidecar key {query_key!r})") from None
     fields = {key: sidecar[key] for key in ("seed", "truth_index", *family.params)}
     return family.instance_type(dataset=dataset, query=query, **fields, **counters)

@@ -33,8 +33,13 @@ def _fnv1a64(text: str) -> int:
 
 
 def stream_key(seed: int, *tags: int | str) -> int:
-    """Collapse (seed, tags...) into a 64-bit key for one sub-stream."""
-    state = splitmix64(seed & _MASK64)
+    """Collapse (seed, tags...) into a 64-bit key for one sub-stream.
+
+    The seed must lie in [0, 2**64): a wider one would alias a seed in range.
+    """
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be an integer in [0, 2**64) (got {seed!r})")
+    state = splitmix64(seed)
     for tag in tags:
         if isinstance(tag, str):
             tag = _fnv1a64(tag)

@@ -594,6 +594,8 @@ def tradeoff_rows(
         raise ValueError(f"prior-general needs a finite prior_constant > 0 (got {const!r})")
     if not (0.0 < w_u <= 1.0 and 0.0 < epsilon <= 2.0):
         raise ValueError(f"need 0 < w_u <= 1 and 0 < epsilon <= 2 (got {w_u!r}, {epsilon!r})")
+    if "numeric-lop" in curves and w_u == 1.0:
+        raise ValueError("the numeric-lop curve needs w_u < 1 (got w_u = 1.0)")
     rows: list[TradeoffPoint] = []
     for s in s_values:
         s = float(s)

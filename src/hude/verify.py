@@ -144,7 +144,11 @@ def _check_sidecar_validation() -> str | None:
                 "k disagreeing with the dataset": {**sidecar, "k": inst.k + 1},
                 "out-of-range truth_index": {**sidecar, "truth_index": inst.k},
             }
-            for key in ("truth_index", *family.params):
+            needed = ("truth_index", *family.params)
+            if "query_stream" in sidecar:  # hude and urde: their query is read from it alone
+                needed += ("query_stream",)
+                corrupted["a non-integer query_stream entry"] = {**sidecar, "query_stream": [1.5]}
+            for key in needed:
                 corrupted[f"missing {key}"] = {k: v for k, v in sidecar.items() if k != key}
             for name, bad in corrupted.items():
                 with open(path, "w", encoding="utf-8") as fh:

@@ -95,6 +95,13 @@ class TestGen:
         assert "empty with probability (1 - w_u)^n = 1 (w_u=1e-300)" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_rejected(self, tmp_path, capsys, seed):
+        out = tmp_path / "inst"
+        assert main(_gen_args(out, seed=seed)) == 1
+        assert f"seed must be an integer in [0, 2**64) (got {seed})" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "problem, given, message",
         [
@@ -286,6 +293,19 @@ class TestBench:
         rows = read_rows(out, ResultRow)
         assert all(r.seed == 2 for r in rows)
 
+    def test_config_seed_outside_64_bits_rejected(self, tmp_path, capsys):
+        # Seed 2**64 once ran as seed 0 under a seed column of 2**64.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "sweep_param": "k", "sweep_values": [100], "n": 64, "S": 30,
+            "ell": 2, "queries_per_point": 5, "seed": 2**64,
+        }))
+        out = tmp_path / "rows.csv"
+        assert main(["bench", "--config", str(config), "--out", str(out)]) == 1
+        assert ("seed must be an integer in [0, 2**64) (got 18446744073709551616)"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_cap_abort_exits_nonzero(self, tmp_path):
         out = tmp_path / "rows.csv"
         rc = main([
@@ -456,6 +476,16 @@ class TestTradeoff:
         err = capsys.readouterr().err
         assert "is too small: its query density" in err and "rounds to w_u = 0.5" in err
         assert "sample ratio s = " in err and "0 < w_q < w_u < 1" not in err
+        assert not out.exists()
+
+    def test_numeric_lop_at_w_u_one_is_named(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["tradeoff", "--rho-u", "0.5", "--s-grid", "20:40:lin2", "--w-u", "1",
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "the numeric-lop curve needs w_u < 1 (got w_u = 1.0)" in err
+        assert "0 < w_q < w_u < 1" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("spec", ["oops", "20:40:log0", "20:40:lin-1", "20:40:geo5",
@@ -646,6 +676,36 @@ class TestCapEdges:
         assert _main_within(argv + ["--s", s_above, "--out", str(tmp_path / "b")]) == 1
         assert (f"n/s >= 1 query samples (got {s_above}), and at most 10,000,000 of them"
                 in capsys.readouterr().err)
+
+
+class TestSidecarFuzz:
+    """Every sidecar key of a seeded instance of each family set to each bad
+    value, then ``hude query``: a clean exit code and no escaping exception.
+    A bad query is refused with a message naming its key."""
+
+    VALUES = [2**70, -1, 1.5, True, "1", None, {}, [[]], [[1]], [[1, 2**62]], [1.5],
+              [True, 1], [[2**70, 1]]]
+    QUERY_KEY = {"hude": "query_stream", "urde": "query_stream", "gapss": "query"}
+
+    @pytest.mark.parametrize("problem", ["hude", "urde", "gapss"])
+    def test_clean_exit(self, tmp_path, capsys, problem):
+        out = tmp_path / "inst"
+        assert main(_gen_args(out, problem)) == 0
+        path = out / "instance.json"
+        sidecar = json.loads(path.read_text())
+        argv = ["query", "--instance", str(out), "--algorithm", "elimination"]
+        for key in sorted(sidecar):
+            for value in self.VALUES:
+                path.write_text(json.dumps({**sidecar, key: value}))
+                code = _main_within(argv)
+                err = capsys.readouterr().err
+                case = (key, value, code, err)
+                if key == self.QUERY_KEY[problem]:
+                    assert code == 1 and "malformed query" in err and repr(key) in err, case
+                elif problem == "gapss" and code == 2:  # a loaded gapss instance
+                    assert "query runs on sample-based instances" in err, case
+                else:
+                    assert code in (0, 1) and (code == 0 or "error: " in err), case
 
 
 class TestFloatFlagFuzz:

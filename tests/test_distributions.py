@@ -231,20 +231,9 @@ class TestQueryMultiset:
         assert q.distinct.cardinality == len(set(draws))
         assert q.distinct.cardinality <= max(q.order.size, 0) or q.order.size == 0
 
-    def test_pairs_round_trip_preserves_counts(self):
-        q = QueryMultiset(10, np.asarray([3, 1, 3, 7, 1, 3]))
-        back = QueryMultiset.from_pairs(10, q.pairs())
-        assert dict(back.pairs()) == dict(q.pairs())
-        assert back.order.size == q.order.size
-
     def test_out_of_domain_sample_rejected(self):
         with pytest.raises(ValueError):
             QueryMultiset(4, np.asarray([0, 4]))
-
-    def test_nonpositive_multiplicity_rejected(self):
-        with pytest.raises(ValueError):
-            QueryMultiset.from_pairs(4, [(1, 0)])
-
 
 class TestOverlaps:
     @pytest.mark.parametrize("j", [0, 1029, 2499])

@@ -25,7 +25,7 @@ from hude.instances import (
     required_w_q,
     save_instance,
 )
-from hude.distributions import SupportSet
+from hude.distributions import QueryMultiset, SupportSet
 from hude.rng import substream
 
 
@@ -237,8 +237,7 @@ class TestPoisson:
         # P[X=1] = lam e^-lam / (1 - e^-lam) ~ 0.98013 at lam = 0.04.
         lam = 0.04
         expected = lam * math.exp(-lam) / (1.0 - math.exp(-lam))
-        rng = substream(10, "plus-mass")
-        draws = np.array([poisson_plus(lam, rng) for _ in range(40_000)])
+        draws = poisson(lam, 40_000, substream(10, "plus-mass"), truncated=True)
         ones = float(np.mean(draws == 1))
         stderr = math.sqrt(expected * (1 - expected) / draws.size)
         assert abs(ones - expected) <= 3.0 * stderr
@@ -372,6 +371,25 @@ class TestInstanceFiles:
         back = load_instance(tmp_path / "inst")
         assert np.array_equal(back.query.order, inst.query.order)
 
+    def test_empty_queries_round_trip(self, tmp_path):
+        # urde can draw 0 samples, and gapss can keep no element; the second
+        # save writes the loaded query, so equal bytes mean it came back empty.
+        g = gen_gapss(64, 4, 0.5, 0.05, seed=17)
+        no_draws = QueryMultiset(64, np.empty(0, dtype=np.int64))
+        no_elements = SupportSet.from_indices(64, [])
+        for inst in (
+            instances.UrdeInstance(g.dataset, 0.5, 5.0, g.truth_index, no_draws, g.seed),
+            GapssInstance(g.dataset, g.w_u, g.w_q, g.truth_index, no_elements, g.seed),
+        ):
+            first, second = tmp_path / "first", tmp_path / "second"
+            save_instance(inst, first)
+            back = load_instance(first)
+            save_instance(back, second)
+            assert type(back) is type(inst)
+            for name in ("dataset.txt", "instance.json"):
+                assert (first / name).read_bytes() == (second / name).read_bytes()
+            assert '"query":[]' in (first / "instance.json").read_text()
+
     def test_generation_is_deterministic(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -455,6 +473,11 @@ def _with(**fields):
     return lambda sidecar: {**sidecar, **fields}
 
 
+_NOT_INT64 = "malformed query: elements must be JSON integers within int64 (sidecar key '{}')"
+_NOT_PAIRS = "malformed query: entries must be [element, 1] pairs (sidecar key 'query')"
+_NOT_LIST = "malformed query: not a list of at most 10,000,000 entries (sidecar key '{}')"
+
+
 class TestCorruptedSidecar:
     @pytest.mark.parametrize(
         "edit, problem, message",
@@ -463,7 +486,7 @@ class TestCorruptedSidecar:
             (_without("problem"), "hude", "lacks key 'problem'"),
             (_without("epsilon", "seed"), "hude", "lacks key(s) 'seed', 'epsilon'"),
             (_without("w_q"), "gapss", "lacks key(s) 'w_q'"),
-            (_without("query", "query_stream"), "hude", "lacks key(s) 'query'"),
+            (_without("query", "query_stream"), "hude", "lacks key(s) 'query_stream'"),
             (_with(n=41), "hude", "sidecar has n = 41 but the dataset header has n = 40"),
             (_with(k=7), "hude", "sidecar has k = 7 but the dataset header has k = 6"),
             (_with(truth_index=6), "hude", "truth_index 6 is not an index in [0, 6)"),
@@ -478,6 +501,16 @@ class TestCorruptedSidecar:
             (lambda sidecar: [sidecar], "hude", "sidecar is not a JSON object"),
             (_with(query_stream=[0, 99]), "hude", "malformed query: sample outside domain"),
             (_with(query=[[1]]), "gapss", "malformed query"),
+            *((_with(query_stream=bad), "hude", _NOT_INT64.format("query_stream"))
+              for bad in ([1.5, 2.7], [True, False], [True, 1], ["1", 2], [[1], [2, 3]],
+                          [2**70], [-(2**63) - 1])),
+            *((_with(query=bad), "gapss", _NOT_INT64.format("query"))
+              for bad in ([[1.7, 1]], [["1", 1]], [[2**70, 1]])),
+            *((_with(query=bad), "gapss", _NOT_PAIRS)
+              for bad in ([[1, -5]], [[1, 2]], [[1, True]], [[1, 1, 1]], [[1, 2**62]], [1, 2])),
+            (_with(query_stream=3), "hude", _NOT_LIST.format("query_stream")),
+            (_with(query_stream=None), "hude", _NOT_LIST.format("query_stream")),
+            (_with(query={}), "gapss", _NOT_LIST.format("query")),
         ],
     )
     def test_rejected_with_named_cause(self, tmp_path, edit, problem, message):
@@ -486,6 +519,20 @@ class TestCorruptedSidecar:
             load_instance(out)
         assert message in str(err.value)
 
-    def test_query_pairs_suffice_without_stream(self, tmp_path):
+    def test_query_pairs_without_stream_rejected(self, tmp_path):
+        # The loader reads a hude or urde query from query_stream only; the
+        # query pairs written alongside it are not read back.
         out = _corrupt_sidecar(tmp_path, _without("query_stream"))
-        assert load_instance(out).query.order.size > 0
+        with pytest.raises(ValueError, match="lacks key\\(s\\) 'query_stream'"):
+            load_instance(out)
+
+    @pytest.mark.parametrize(
+        "problem, key, value", [("hude", "query_stream", [1] * 3), ("gapss", "query", [[1, 1]] * 3)]
+    )
+    def test_query_length_capped(self, tmp_path, monkeypatch, problem, key, value):
+        out = _corrupt_sidecar(tmp_path, _with(**{key: value}), problem)
+        monkeypatch.setattr(instances, "_MAX_QUERY_SAMPLES", 3)
+        load_instance(out)
+        monkeypatch.setattr(instances, "_MAX_QUERY_SAMPLES", 2)
+        with pytest.raises(ValueError, match="malformed query: not a list of at most 2 entries"):
+            load_instance(out)

@@ -1,6 +1,7 @@
 """Sub-stream derivation: stability, independence, vectorized key mixing."""
 
 import numpy as np
+import pytest
 
 from hude.rng import keyed_uniform, mix64, splitmix64, stream_key, substream
 
@@ -13,6 +14,14 @@ def test_stream_key_is_stable():
     assert stream_key(42, "dataset", 3) != stream_key(42, "dataset", 4)
     assert stream_key(42, "dataset") != stream_key(42, "query")
     assert stream_key(1) != stream_key(2)
+
+
+def test_seed_outside_64_bits_rejected():
+    # A seed of 2**64 would otherwise alias seed 0, and -1 seed 2**64 - 1.
+    assert stream_key(2**64 - 1, "t") != stream_key(0, "t")
+    for seed in (-1, 2**64, 2**70):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            stream_key(seed, "t")
 
 
 def test_string_and_int_tags_do_not_collide_trivially():
