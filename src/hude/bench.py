@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -32,6 +32,7 @@ from .subset_index import (
     MAX_PROBES,
     VARIANT_BUCKET_ELIMINATE,
     VARIANT_UJ_CERTIFY,
+    VARIANTS,
     IndexParams,
     check_index_size,
     preprocess,
@@ -76,6 +77,8 @@ class ExperimentConfig:
             raise ValueError(f"sweep parameter must be one of {SWEEP_PARAMS}")
         if not self.sweep_values:
             raise ValueError("sweep needs at least one value")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS} (got {self.variant!r})")
         if min(self.k, self.n, self.S, self.ell, self.queries_per_point, self.L_init) <= 0:
             raise ValueError("all dimensions must be positive")
         even = self.sweep_param == "n"  # half-uniform supports need an even domain
@@ -129,8 +132,8 @@ class ExperimentConfig:
     def from_json(cls, payload, overrides: dict | None = None) -> "ExperimentConfig":
         """Config from a decoded JSON object, with ``overrides`` taking precedence.
 
-        A payload that is not an object, an unknown key, or a value of the
-        wrong type raises ValueError naming the key.
+        A payload that is not an object, an unknown or missing key, or a value
+        of the wrong type raises ValueError naming the key.
         """
         if not isinstance(payload, dict):
             raise ValueError(f"config must be a JSON object, not {type(payload).__name__}")
@@ -139,6 +142,9 @@ class ExperimentConfig:
         unknown = set(payload) - set(known)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in payload]
+        if missing:
+            raise ValueError(f"config lacks key(s) {', '.join(map(repr, missing))}")
         for key, value in payload.items():
             if not _json_type_ok(value, known[key]):
                 raise ValueError(f"config key {key!r} must be of type {known[key]}, got {value!r}")

@@ -13,11 +13,13 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .bench import AdaptiveSearchError, ExperimentConfig, run_sweep
+from .bench import SWEEP_PARAMS, AdaptiveSearchError, ExperimentConfig, run_sweep
 from .distributions import OpCounter, write_rows
 from .elimination import eliminate
 from .instances import FAMILIES, GapssInstance, GenerationError, load_instance, save_instance
@@ -122,12 +124,14 @@ def _build_parser() -> argparse.ArgumentParser:
     qry.add_argument("--dump-index", help="also write a debug dump of the index here")
 
     ben = sub.add_parser("bench", help="parameter sweep over both algorithms")
-    ben.add_argument("--sweep", choices=["k", "n", "S", "ell"])
-    ben.add_argument("--values", help="comma-separated sweep values")
+    # Each dest below but out and config is the ExperimentConfig field the flag sets.
+    ben.add_argument("--sweep", dest="sweep_param", choices=SWEEP_PARAMS)
+    ben.add_argument("--values", dest="sweep_values", help="comma-separated sweep values")
     ben.add_argument("--seed", type=int)
     ben.add_argument("--out", required=True, help="results CSV path")
     ben.add_argument("--scale", type=float, help="multiply k by this factor (0.2 = desk preset)")
-    ben.add_argument("--queries", type=int, help="queries per sweep point")
+    ben.add_argument("--queries", type=int, dest="queries_per_point",
+                     help="queries per sweep point")
     ben.add_argument("--variant", choices=VARIANTS)
     ben.add_argument("--L-init", type=int, dest="L_init")
     ben.add_argument("--L-factor", type=float, dest="L_factor")
@@ -174,11 +178,8 @@ def _cmd_query(args) -> int:
     counter = OpCounter()
     epsilon = args.eps if args.eps is not None else getattr(instance, "epsilon", 1.0)
     if args.algorithm == "elimination":
-        start = time.perf_counter_ns()
-        result = eliminate(
-            instance.dataset, np.arange(instance.dataset.k), instance.query, counter
-        )
-        elapsed = time.perf_counter_ns() - start
+        candidates = np.arange(instance.dataset.k)
+        run = partial(eliminate, instance.dataset, candidates, instance.query, counter)
     else:
         if args.rho_u is not None:
             choice = theoretical_params(
@@ -202,9 +203,10 @@ def _cmd_query(args) -> int:
             with open(args.dump_index, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(dump_index(index))
         rng = substream(args.seed, "cli-certify")
-        start = time.perf_counter_ns()
-        result = query(index, instance.query, epsilon, counter, rng=rng)
-        elapsed = time.perf_counter_ns() - start
+        run = partial(query, index, instance.query, epsilon, counter, rng=rng)
+    start = time.perf_counter_ns()
+    result = run()
+    elapsed = time.perf_counter_ns() - start
     payload = {
         "outcome": result.outcome,
         "index": result.index,
@@ -221,18 +223,10 @@ def _cmd_bench(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    flags = {
-        "sweep_param": args.sweep,
-        "sweep_values": _parse_values(args.values) if args.values else None,
-        "seed": args.seed,
-        "scale": args.scale,
-        "queries_per_point": args.queries,
-        "variant": args.variant,
-        "L_init": args.L_init,
-        "L_factor": args.L_factor,
-        "L_cap": args.L_cap,
-    }
-    overrides = {key: value for key, value in flags.items() if value is not None}
+    overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+                 if getattr(args, f.name, None) is not None}
+    if "sweep_values" in overrides:
+        overrides["sweep_values"] = _parse_values(overrides["sweep_values"])
     config = ExperimentConfig.from_json(payload, overrides)
     _check_writable(args.out)
     _log(f"sweeping {config.sweep_param} over {list(config.sweep_values)} (seed {config.seed})")

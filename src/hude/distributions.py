@@ -74,12 +74,6 @@ class SupportSet:
             self._indices = np.flatnonzero(self.bits)
         return self._indices
 
-    def has(self, element: int) -> bool:
-        """Unmetered membership read (generation and setup paths only)."""
-        if not 0 <= element < self.n:
-            raise ValueError(f"element {element} outside domain [0, {self.n})")
-        return bool(self.bits[element])
-
     def sample(self, m: int, rng: np.random.Generator) -> "QueryMultiset":
         """Draw m i.i.d. elements, uniform on the support, in recorded order."""
         if m < 0:

@@ -39,20 +39,8 @@ class GenerationError(RuntimeError):
     """Instance generation failed its post-generation validity check."""
 
 
-class _OnDataset:
-    """Domain size and dataset size, read from the instance's dataset."""
-
-    @property
-    def n(self) -> int:
-        return self.dataset.n
-
-    @property
-    def k(self) -> int:
-        return self.dataset.k
-
-
 @dataclass(frozen=True)
-class HudeInstance(_OnDataset):
+class HudeInstance:
     """k half-uniform distributions, a hidden truth index, and its query."""
 
     dataset: Dataset
@@ -65,7 +53,7 @@ class HudeInstance(_OnDataset):
 
 
 @dataclass(frozen=True)
-class UrdeInstance(_OnDataset):
+class UrdeInstance:
     """Random Bernoulli supports with a Poisson-sized query from the truth."""
 
     dataset: Dataset
@@ -78,7 +66,7 @@ class UrdeInstance(_OnDataset):
 
 
 @dataclass(frozen=True)
-class GapssInstance(_OnDataset):
+class GapssInstance:
     """Bernoulli dataset points plus a query drawn as a correlated subset.
 
     Coordinatewise, (query, truth) follows the joint law
@@ -311,7 +299,7 @@ def reduce_gapss_to_urde(g: GapssInstance, s: float, seed: int) -> UrdeInstance:
     draws = np.repeat(q_elements, copies)
     if draws.size:
         draws = draws[substream(seed, "reduction-order").permutation(draws.size)]
-    query = QueryMultiset(g.n, draws)
+    query = QueryMultiset(g.dataset.n, draws)
     return UrdeInstance(g.dataset, g.w_u, float(s), g.truth_index, query, seed)
 
 
@@ -327,12 +315,21 @@ class Family(NamedTuple):
     generator: Callable  # generator(n, k, *params, seed)
     params: tuple[str, ...]  # generator parameters, in generator order
     counters: dict  # optional sidecar counters and their defaults
+    # domain(*params) -> {param: (inside, interval)}: the domain a stored instance's
+    # parameters must lie in, without generation's caps on the query size.
+    domain: Callable
 
 
 FAMILIES = {
-    "hude": Family(HudeInstance, gen_hude, ("epsilon", "s"), {"attempts": 1}),
-    "urde": Family(UrdeInstance, gen_urde, ("w_u", "s"), {"truth_resamples": 0}),
-    "gapss": Family(GapssInstance, gen_gapss, ("w_u", "w_q"), {}),
+    "hude": Family(HudeInstance, gen_hude, ("epsilon", "s"), {"attempts": 1},
+                   lambda epsilon, s: {"epsilon": (0 < epsilon <= 2, "(0, 2]"),
+                                       "s": (0 < s < math.inf, "(0, inf)")}),
+    "urde": Family(UrdeInstance, gen_urde, ("w_u", "s"), {"truth_resamples": 0},
+                   lambda w_u, s: {"w_u": (0 < w_u <= 1, "(0, 1]"),
+                                   "s": (0 < s < math.inf, "(0, inf)")}),
+    "gapss": Family(GapssInstance, gen_gapss, ("w_u", "w_q"), {},
+                    lambda w_u, w_q: {"w_u": (0 < w_u < 1, "(0, 1)"),
+                                      "w_q": (0 < w_q < w_u, "(0, w_u)")}),
 }
 
 # gapss stores its query as a set of elements; the others as a draw stream.
@@ -347,6 +344,12 @@ DATASET_FILENAME = "dataset.txt"
 SIDECAR_FILENAME = "instance.json"
 
 _FORMAT_VERSION = 1
+# Largest sidecar save_instance writes at the query cap, checked before it is parsed: per
+# sample a "[element,count]," pair and an "element," stream entry, with elements below
+# n <= MAX_DATASET_CELLS, plus 4 KiB for the scalar keys.
+_MAX_SIDECAR_BYTES = _MAX_QUERY_SAMPLES * (
+    2 * len(str(MAX_DATASET_CELLS - 1)) + len(str(_MAX_QUERY_SAMPLES)) + 5
+) + 4096
 
 
 def _sidecar_dict(instance) -> dict:
@@ -359,8 +362,8 @@ def _sidecar_dict(instance) -> dict:
         "format": "hude-instance",
         "version": _FORMAT_VERSION,
         "library_version": __version__,
-        "n": instance.n,
-        "k": instance.k,
+        "n": instance.dataset.n,
+        "k": instance.dataset.k,
         "seed": instance.seed,
         "truth_index": instance.truth_index,
         "problem": problem,
@@ -388,11 +391,18 @@ def save_instance(instance, outdir) -> None:
 def load_instance(outdir):
     """Rebuild the instance saved by :func:`save_instance`.
 
-    Raises ValueError naming the sidecar key that is missing or malformed,
-    or the sidecar field that disagrees with the dataset header.
+    Raises ValueError naming the sidecar key that is missing, malformed or
+    outside its family's domain, the sidecar field that disagrees with the
+    dataset header, or a sidecar larger than any instance's.
     """
     dataset, _ = distributions.load_dataset(os.path.join(outdir, DATASET_FILENAME))
     path = os.path.join(outdir, SIDECAR_FILENAME)
+    size = os.path.getsize(path)
+    if size > _MAX_SIDECAR_BYTES:
+        raise ValueError(
+            f"{path}: sidecar is {size:,} bytes, over the {_MAX_SIDECAR_BYTES:,} "
+            f"of the largest instance"
+        )
     with open(path, "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
     if not isinstance(sidecar, dict):
@@ -417,6 +427,9 @@ def load_instance(outdir):
     for key in family.params:
         if type(sidecar[key]) not in (int, float):
             raise ValueError(f"{path}: sidecar {key} {sidecar[key]!r} is not a number")
+    for key, (inside, interval) in family.domain(*map(sidecar.get, family.params)).items():
+        if not inside:
+            raise ValueError(f"{path}: sidecar {key} {sidecar[key]!r} is outside {interval}")
     counters = {key: sidecar.get(key, default) for key, default in family.counters.items()}
     for key, value in {"seed": sidecar["seed"], **counters}.items():
         if type(value) is not int:

@@ -589,6 +589,7 @@ def tradeoff_rows(
     unknown = set(curves) - set(CURVES)
     if unknown:
         raise ValueError(f"unknown curves: {sorted(unknown)}")
+    _check_rho_u(rho_u)
     const = prior_constant
     if "prior-general" in curves and not (const is not None and math.isfinite(const) and const > 0):
         raise ValueError(f"prior-general needs a finite prior_constant > 0 (got {const!r})")

@@ -93,10 +93,9 @@ def _check_reduction_relation() -> str | None:
     reduced = instances.reduce_gapss_to_urde(g, 10.0, seed=6)
     if reduced.truth_index != g.truth_index:
         return "reduction changed the truth index"
-    support = g.dataset.distribution(g.truth_index)
-    for element in reduced.query.distinct.indices.tolist():
-        if not support.has(element):
-            return f"reduced query contains {element} outside the truth support"
+    outside = np.flatnonzero(reduced.query.distinct.bits & ~g.dataset.row(g.truth_index))
+    if outside.size:
+        return f"reduced query contains {outside[0]} outside the truth support"
     try:
         instances.reduce_gapss_to_urde(g, 11.0, seed=6)
     except ValueError:
@@ -141,8 +140,9 @@ def _check_sidecar_validation() -> str | None:
             if (back.truth_index, back.dataset) != (inst.truth_index, inst.dataset):
                 return f"an intact {problem} sidecar did not load back"
             corrupted = {
-                "k disagreeing with the dataset": {**sidecar, "k": inst.k + 1},
-                "out-of-range truth_index": {**sidecar, "truth_index": inst.k},
+                "k disagreeing with the dataset": {**sidecar, "k": inst.dataset.k + 1},
+                "out-of-range truth_index": {**sidecar, "truth_index": inst.dataset.k},
+                f"{family.params[0]} outside its domain": {**sidecar, family.params[0]: 7.0},
             }
             needed = ("truth_index", *family.params)
             if "query_stream" in sidecar:  # hude and urde: their query is read from it alone
@@ -170,7 +170,7 @@ def _check_bucket_soundness() -> str | None:
         probe = index.probes[i]
         in_bucket = set(index.bucket(i).tolist())
         for j in range(inst.dataset.k):
-            holds = all(inst.dataset.distribution(j).has(int(e)) for e in probe)
+            holds = bool(inst.dataset.row(j)[probe].all())
             if holds != (j in in_bucket):
                 return f"bucket {i} wrong about candidate {j}"
     padded = np.flatnonzero(np.unpackbits(index.masks, axis=1)[:, inst.dataset.k :].any(axis=1))

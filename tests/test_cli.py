@@ -269,6 +269,25 @@ class TestQuery:
         assert captured.out == ""
 
 
+    @pytest.mark.parametrize(
+        "key, value, algorithm",
+        [("epsilon", 7, "elimination"), ("epsilon", math.nan, "elimination"),
+         ("s", -5, "subset"), ("epsilon", 7, "subset"), ("s", math.inf, "elimination")],
+    )
+    def test_sidecar_parameter_outside_its_domain_is_a_clean_error(
+        self, tmp_path, capsys, key, value, algorithm
+    ):
+        out = tmp_path / "inst"
+        main(_gen_args(out))
+        sidecar = json.loads((out / "instance.json").read_text())
+        (out / "instance.json").write_text(json.dumps({**sidecar, key: value}))
+        probes = ["--ell", "2", "--num-probes", "50"] if algorithm == "subset" else []
+        assert main(["query", "--instance", str(out), "--algorithm", algorithm, *probes]) == 1
+        captured = capsys.readouterr()
+        assert f"sidecar {key} {value!r} is outside" in captured.err
+        assert captured.out == ""
+
+
 class TestBench:
     def test_sweep_to_csv(self, tmp_path):
         out = tmp_path / "rows.csv"
@@ -292,6 +311,37 @@ class TestBench:
         assert rc == 0
         rows = read_rows(out, ResultRow)
         assert all(r.seed == 2 for r in rows)
+
+    def test_flag_seed_zero_overrides_config_seed(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "sweep_param": "k", "sweep_values": [100], "n": 64, "S": 30,
+            "ell": 2, "queries_per_point": 5, "seed": 5,
+        }))
+        out = tmp_path / "rows.csv"
+        assert main(["bench", "--config", str(config), "--seed", "0", "--out", str(out)]) == 0
+        assert {r.seed for r in read_rows(out, ResultRow)} == {0}
+
+    @pytest.mark.parametrize("config", [None, {"sweep_values": [100]}])
+    def test_missing_sweep_param_is_a_clean_error(self, tmp_path, capsys, config):
+        out = tmp_path / "rows.csv"
+        argv = ["bench", "--out", str(out)]
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "config.json")]
+        assert main(argv) == 1
+        assert "config lacks key(s) 'sweep_param'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_variant_refused_before_the_sweep(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sweep_param": "k", "sweep_values": [100], "variant": "x"}))
+        out = tmp_path / "rows.csv"
+        assert main(["bench", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "variant must be one of ('bucket-eliminate', 'uj-certify') (got 'x')" in err
+        assert "sweeping" not in err
+        assert not out.exists()
 
     def test_config_seed_outside_64_bits_rejected(self, tmp_path, capsys):
         # Seed 2**64 once ran as seed 0 under a seed column of 2**64.
@@ -446,6 +496,16 @@ class TestTradeoff:
         rows = read_rows(out, TradeoffPoint)
         assert len(rows) == 12  # 3 grid points x 4 default curves
         assert all(0.0 <= r.rho_q <= 1.0 for r in rows)
+
+    @pytest.mark.parametrize("rho_u", ["inf", "-1"])
+    def test_rho_u_outside_its_domain_is_named(self, tmp_path, capsys, rho_u):
+        # prior-general reads no rho_u, so only the up-front check refuses it.
+        out = tmp_path / "curves.csv"
+        rc = main(["tradeoff", "--rho-u", rho_u, "--curves", "prior-general",
+                   "--prior-constant", "1", "--s-grid", "20:40:lin2", "--out", str(out)])
+        assert rc == 1
+        assert "space exponent rho_u must be finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_prior_general_without_constant_fails(self, tmp_path):
         rc = main([

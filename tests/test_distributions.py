@@ -102,14 +102,6 @@ class TestContains:
             assert got == (e in members)
             assert ctr.membership_ops == i
 
-    def test_unmetered_accessor_leaves_counter_alone(self):
-        support = SupportSet.from_indices(8, [0, 1])
-        ctr = OpCounter()
-        support.has(0)
-        support.has(5)
-        _ = support.cardinality
-        assert ctr.membership_ops == 0
-
     def test_counter_rejects_negative(self):
         with pytest.raises(ValueError):
             OpCounter().add(-1)

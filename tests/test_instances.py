@@ -166,9 +166,8 @@ class TestGenUrde:
 
     def test_query_supported_on_truth(self):
         inst = gen_urde(200, 20, 0.5, 8.0, seed=5)
-        truth_support = inst.dataset.distribution(inst.truth_index)
-        for element in inst.query.distinct.indices.tolist():
-            assert truth_support.has(element)
+        truth_bits = inst.dataset.row(inst.truth_index)
+        assert truth_bits[inst.query.distinct.indices].all()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -191,15 +190,15 @@ class TestGenGapss:
 
     def test_query_density(self):
         inst = gen_gapss(10_000, 3, 0.5, 0.02, seed=6)
-        freq = inst.query.cardinality / inst.n
-        assert abs(freq - 0.02) <= 3.0 * math.sqrt(0.02 * 0.98 / inst.n)
+        freq = inst.query.cardinality / inst.dataset.n
+        assert abs(freq - 0.02) <= 3.0 * math.sqrt(0.02 * 0.98 / inst.dataset.n)
 
     def test_truth_marginal_density(self):
         # Column sums of the joint law: the truth's marginal inclusion
         # probability is w_q + (w_u - w_q) = w_u.
         inst = gen_gapss(10_000, 2, 0.5, 0.02, seed=7)
         freq = inst.dataset.matrix[inst.truth_index].mean()
-        assert abs(freq - 0.5) <= 3.0 * math.sqrt(0.25 / inst.n)
+        assert abs(freq - 0.5) <= 3.0 * math.sqrt(0.25 / inst.dataset.n)
 
     def test_near_equal_parameters_copy_the_truth(self):
         inst = gen_gapss(10_000, 2, 0.5, 0.5 - 1e-9, seed=8)
@@ -454,9 +453,8 @@ class TestCounterPathBytes:
 
 
 def _corrupt_sidecar(tmp_path, edit, problem="hude"):
-    inst = gen_hude(40, 6, 0.5, 4.0, seed=20) if problem == "hude" else gen_gapss(
-        40, 6, 0.5, 0.05, seed=20
-    )
+    params = {"hude": (0.5, 4.0), "urde": (0.5, 4.0), "gapss": (0.5, 0.05)}[problem]
+    inst = instances.FAMILIES[problem].generator(40, 6, *params, seed=20)
     out = tmp_path / "inst"
     save_instance(inst, out)
     path = out / "instance.json"
@@ -518,6 +516,51 @@ class TestCorruptedSidecar:
         with pytest.raises(ValueError) as err:
             load_instance(out)
         assert message in str(err.value)
+
+    @pytest.mark.parametrize(
+        "problem, key, value, interval",
+        [
+            ("hude", "epsilon", 7, "(0, 2]"),
+            ("hude", "epsilon", 0, "(0, 2]"),
+            ("hude", "epsilon", math.nan, "(0, 2]"),
+            ("hude", "s", -5, "(0, inf)"),
+            ("hude", "s", math.inf, "(0, inf)"),
+            ("urde", "w_u", 0, "(0, 1]"),
+            ("urde", "w_u", 1.5, "(0, 1]"),
+            ("urde", "s", math.nan, "(0, inf)"),
+            ("gapss", "w_u", 1, "(0, 1)"),
+            ("gapss", "w_q", 0.5, "(0, w_u)"),
+            ("gapss", "w_q", -math.inf, "(0, w_u)"),
+        ],
+    )
+    def test_parameter_outside_its_domain_rejected(self, tmp_path, problem, key, value, interval):
+        out = _corrupt_sidecar(tmp_path, _with(**{key: value}), problem)
+        with pytest.raises(ValueError) as err:
+            load_instance(out)
+        assert f"sidecar {key} {value!r} is outside {interval}" in str(err.value)
+
+    @pytest.mark.parametrize("problem, key, value", [("urde", "w_u", 1), ("urde", "s", 1e-9)])
+    def test_domain_edges_past_the_generation_caps_load(self, tmp_path, problem, key, value):
+        # Only the domain is checked: n/(s*w_u) = 4e10 is past gen_urde's query-rate cap.
+        out = _corrupt_sidecar(tmp_path, _with(**{key: value}), problem)
+        assert getattr(load_instance(out), key) == value
+
+    def test_oversized_sidecar_refused_before_parsing(self, tmp_path, monkeypatch):
+        out = _corrupt_sidecar(tmp_path, lambda sidecar: sidecar)
+        path = out / "instance.json"
+        monkeypatch.setattr(instances, "_MAX_SIDECAR_BYTES", path.stat().st_size)
+        load_instance(out)
+        monkeypatch.setattr(instances, "_MAX_SIDECAR_BYTES", path.stat().st_size - 1)
+        monkeypatch.setattr(instances.json, "load", pytest.fail)
+        with pytest.raises(ValueError) as err:
+            load_instance(out)
+        assert f"{path}: sidecar is {path.stat().st_size:,} bytes" in str(err.value)
+
+    def test_sidecar_bound_covers_a_full_query(self):
+        # A stream entry and a pair per sample, each element and count at its widest.
+        element, count = str(instances.MAX_DATASET_CELLS - 1), str(instances._MAX_QUERY_SAMPLES)
+        widest = len(f"[{element},{count}],") + len(f"{element},")
+        assert instances._MAX_SIDECAR_BYTES >= instances._MAX_QUERY_SAMPLES * widest
 
     def test_query_pairs_without_stream_rejected(self, tmp_path):
         # The loader reads a hude or urde query from query_stream only; the
